@@ -38,8 +38,6 @@ import (
 	"cogg/internal/shaper"
 	"cogg/internal/tables"
 	"cogg/specs"
-
-	amdahl470emitted "cogg/internal/emitted/amdahl470"
 )
 
 var (
@@ -387,57 +385,13 @@ func BenchmarkCodeGenerationRate(b *testing.B) {
 	b.ReportMetric(float64(instrs)*float64(b.N)/b.Elapsed().Seconds(), "instructions/s")
 }
 
-// BenchmarkCodeGenerationRateEmitted is BenchmarkCodeGenerationRate on
-// the `cogg emit-go` engine: the same spec lowered to specialized Go
-// (switch-threaded parser, reduction sites inlined as straight-line
-// code) instead of interpreted tables. Output is byte-identical — the
-// differential suite in internal/emitgo pins that — so the ns/op gap
-// between this and the interpreted benchmark is pure dispatch overhead.
-// The baseline gates it at 0 allocs/op with ns/op strictly below the
-// interpreted entry.
-func BenchmarkCodeGenerationRateEmitted(b *testing.B) {
-	eng, err := amdahl470emitted.New(rt370.Config())
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := pascal.Parse("sweep.pas", sweepWorkload)
-	if err != nil {
-		b.Fatal(err)
-	}
-	shaped, err := shaper.Shape(prog, shaper.Options{StatementRecords: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	toks := shaped.Linearize()
-	sess, err := eng.NewEngineSession()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var instrs int
-	for i := 0; i < 3; i++ { // warm the session's buffers
-		p, _, err := sess.Generate("sweep", toks)
-		if err != nil {
-			b.Fatal(err)
-		}
-		instrs = p.InstructionCount()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := sess.Generate("sweep", toks); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(toks))*float64(b.N)/b.Elapsed().Seconds(), "IF_tokens/s")
-	b.ReportMetric(float64(instrs)*float64(b.N)/b.Elapsed().Seconds(), "instructions/s")
-}
-
 // BenchmarkCodeGenerationRateObserved is BenchmarkCodeGenerationRate
 // with the full metrics instrumentation live — per-phase latency
 // histograms, per-production reduce counters, register-pressure stats —
 // proving observability costs the hot path no allocations (allocs/op
-// must stay 0, gated by the benchmark baseline) and only a small
-// constant time overhead.
+// must stay 0, gated by the benchmark baseline). It does cost time:
+// bench/baseline.json records 36.5 µs/op observed against 24.4 µs/op
+// plain, about 50% more.
 func BenchmarkCodeGenerationRateObserved(b *testing.B) {
 	reg := obs.NewRegistry()
 	cfg := rt370.Config()

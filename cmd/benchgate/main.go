@@ -69,8 +69,7 @@ type Entry struct {
 	// FasterThan names a sibling benchmark this one must strictly beat
 	// on ns/op in the same measured run. Both run on the same machine,
 	// so the comparison is machine-independent where absolute ns/op is
-	// not — it pins relative wins (e.g. the emitted engine beating the
-	// interpreted one) that a wide ns tolerance cannot.
+	// not — it pins relative wins that a wide ns tolerance cannot.
 	FasterThan string `json:"faster_than,omitempty"`
 }
 

@@ -113,7 +113,7 @@ func TestCompareAnnotations(t *testing.T) {
 	base := map[string]Entry{
 		"BenchmarkSlow": {NsPerOp: 1000, AllocsPerOp: 0},
 		"BenchmarkFast": {NsPerOp: 700, AllocsPerOp: 0,
-			FasterThan: "BenchmarkSlow", Note: "the emitted engine must beat the interpreter"},
+			FasterThan: "BenchmarkSlow", Note: "the fast path must beat the slow one"},
 		"BenchmarkMem": {NsPerOp: 1000, AllocsPerOp: 50, MaxBytesPerOp: 4096},
 	}
 
@@ -135,7 +135,7 @@ func TestCompareAnnotations(t *testing.T) {
 	if len(p) != 1 || !strings.Contains(p[0], "not strictly below") {
 		t.Errorf("faster_than violation not caught: %v", p)
 	}
-	if !strings.Contains(p[0], "must beat the interpreter") {
+	if !strings.Contains(p[0], "must beat the slow one") {
 		t.Errorf("note not echoed with failure: %v", p)
 	}
 	got["BenchmarkFast"] = Entry{NsPerOp: 1500, AllocsPerOp: 0}

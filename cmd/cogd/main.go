@@ -72,7 +72,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8470", "listen address")
 	specName := flag.String("spec", "amdahl470", "default code generator specification")
 	risc := flag.Bool("risc", false, "use the risc32 target configuration for the default spec")
-	engine := flag.String("engine", "interpreted", "translation engine: interpreted, auto, or emitted (a compiled-in `cogg emit-go` engine; byte-identical output)")
 	cacheDir := flag.String("cache", "", "table-module cache directory")
 	blobPeers := flag.String("blob-peers", "", "comma-separated peer base URLs for the shared artifact tier")
 	blobTimeout := flag.Duration("blob-timeout", 0, "per-attempt peer artifact fetch deadline (default 2s)")
@@ -112,7 +111,6 @@ func main() {
 		SpecName:           sName,
 		SpecSrc:            sSrc,
 		Risc:               *risc,
-		Engine:             *engine,
 		Workers:            *workers,
 		CacheDir:           *cacheDir,
 		PoolSize:           *pool,

@@ -6,7 +6,6 @@
 //
 //	cogg [flags] [spec-file]
 //	cogg explain [flags] [input-file]
-//	cogg emit-go -o DIR [flags]
 //	cogg cache <ls|gc|verify> -dir DIR
 //	cogg trace -targets URL[,URL...] [-id TRACE-ID]
 //
@@ -19,12 +18,6 @@
 // reduction emitted it, the template (index and specification line),
 // the operand sources, and the register moves — the paper's
 // inspectability claim made executable. See `cogg explain -h`.
-//
-// The emit-go subcommand compiles the tables away: it generates a
-// self-contained Go package implementing the specification's translator
-// as code (switch-threaded parser, reduction sites with the templates
-// inlined) that produces byte-identical output to the interpreted
-// engine. See `cogg emit-go -h`.
 //
 // The cache subcommand administers the shared on-disk artifact tier
 // (the daemon's -cache directory): ls joins the manifest sidecar with
@@ -59,14 +52,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"cogg/internal/asm"
 	"cogg/internal/batch"
 	"cogg/internal/codegen"
 	"cogg/internal/core"
 	"cogg/internal/driver"
-	"cogg/internal/emitgo"
 	"cogg/internal/ir"
 	"cogg/internal/labels"
 	"cogg/internal/lr"
@@ -80,10 +71,6 @@ import (
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "explain" {
 		runExplain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "emit-go" {
-		runEmitGo(os.Args[2:])
 		return
 	}
 	if len(os.Args) > 1 && os.Args[1] == "cache" {
@@ -204,13 +191,9 @@ recorded up to the block, then the diagnostics, and exits nonzero.
 	risc := fs.Bool("risc", false, "use the risc32 target configuration")
 	pascalIn := fs.Bool("pascal", false, "input is Pascal source, not prefix-IF")
 	listing := fs.Bool("S", false, "print the assembly listing before the derivation")
-	engine := fs.String("engine", "interpreted", "translation engine; only interpreted records derivations")
 	fs.Parse(args)
 	if fs.NArg() > 1 {
 		fatal(fmt.Errorf("explain takes one input file (or standard input)"))
-	}
-	if *engine != "interpreted" {
-		fatal(codegen.ErrProvenanceUnsupported)
 	}
 
 	specName, specSrc, err := loadSpec(*spec)
@@ -265,79 +248,6 @@ recorded up to the block, then the diagnostics, and exits nonzero.
 		fmt.Fprintf(os.Stderr, "cogg explain: %s: %v\n", unitName, genErr)
 		os.Exit(1)
 	}
-}
-
-// runEmitGo is the `cogg emit-go` subcommand: compile a specification's
-// tables into a generated Go package.
-func runEmitGo(args []string) {
-	fs := flag.NewFlagSet("cogg emit-go", flag.ExitOnError)
-	fs.Usage = func() {
-		fmt.Fprint(fs.Output(), `usage: cogg emit-go -o DIR [flags]
-
-Generate a self-contained Go package implementing the specification's
-translator as code: the packed action table lowered to switch
-statements, each production's templates and semantic operators inlined
-at its reduction site, and the translation semantics shared with the
-interpreter through codegen.EmitRT — so the generated engine produces
-byte-identical programs and identical structured errors, minus the
-table-interpretation overhead.
-
-`)
-		fs.PrintDefaults()
-	}
-	spec := fs.String("spec", "amdahl470", "code generator specification (amdahl470, amdahl-minimal, risc32, or a path)")
-	outDir := fs.String("o", "", "output directory for the generated package (required)")
-	pkg := fs.String("pkg", "", "generated package name (default: base name of -o)")
-	risc := fs.Bool("risc", false, "validate against the risc32 target configuration")
-	noReg := fs.Bool("no-register", false, "omit the init() self-registration hook")
-	fs.Parse(args)
-	if fs.NArg() != 0 {
-		fatal(fmt.Errorf("emit-go takes no positional arguments (use -spec)"))
-	}
-	if *outDir == "" {
-		fatal(fmt.Errorf("emit-go needs -o DIR"))
-	}
-	if *pkg == "" {
-		*pkg = filepath.Base(*outDir)
-	}
-
-	specName, specSrc, err := loadSpec(*spec)
-	if err != nil {
-		fatal(err)
-	}
-	cfg := rt370.Config()
-	if *risc {
-		cfg = driver.RiscConfig()
-	}
-	cg, err := core.Generate(specName, specSrc)
-	if err != nil {
-		fatal(err)
-	}
-	files, err := emitgo.Emit(cg.Module(), cfg, emitgo.Options{
-		Package:    *pkg,
-		SpecName:   specName,
-		SpecSHA256: codegen.SpecSHA256([]byte(specSrc)),
-		NoRegister: *noReg,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.MkdirAll(*outDir, 0o777); err != nil {
-		fatal(err)
-	}
-	names := make([]string, 0, len(files))
-	for name := range files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var total int
-	for _, name := range names {
-		if err := os.WriteFile(filepath.Join(*outDir, name), files[name], 0o666); err != nil {
-			fatal(err)
-		}
-		total += len(files[name])
-	}
-	fmt.Printf("emitted package %s from %s: %d files, %d bytes\n", *pkg, specName, len(files), total)
 }
 
 func loadSpec(arg string) (string, string, error) {

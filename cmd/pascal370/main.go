@@ -76,7 +76,6 @@ func (s setFlags) Set(v string) error {
 
 func main() {
 	specName := flag.String("spec", "amdahl470", "code generator specification")
-	engine := flag.String("engine", "interpreted", "translation engine: interpreted, auto, or emitted (a compiled-in `cogg emit-go` engine; byte-identical output)")
 	cacheDir := flag.String("cache", "", "table-module cache directory")
 	workers := flag.Int("j", 0, "worker pool size (default GOMAXPROCS)")
 	stats := flag.Bool("stats", false, "print batch-service statistics to stderr")
@@ -158,7 +157,6 @@ func main() {
 		UnitTimeout:   *timeout,
 		Retries:       *retries,
 		MeasureAllocs: *stats,
-		Engine:        *engine,
 	})
 	cfg := rt370.Config()
 	cfg.MaxBlocks = *maxErrors

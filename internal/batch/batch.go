@@ -34,7 +34,6 @@ package batch
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -44,10 +43,6 @@ import (
 	"cogg/internal/codegen"
 	"cogg/internal/core"
 	"cogg/internal/driver"
-
-	// Link the checked-in generated engines so Options.Engine can serve
-	// them; their init() self-registration is the only coupling.
-	_ "cogg/internal/emitted"
 	"cogg/internal/ir"
 	"cogg/internal/labels"
 	"cogg/internal/obs"
@@ -92,14 +87,6 @@ type Options struct {
 	// off by default; the -stats flags of ifcgen and pascal370 turn it
 	// on.
 	MeasureAllocs bool
-
-	// Engine selects the translation engine for targets built by
-	// Target/TargetCtx: "" or "interpreted" runs the table interpreter;
-	// "auto" attaches a compiled-in emitted engine (cogg emit-go output)
-	// when one was generated from exactly the requested specification;
-	// "emitted" requires one and fails target construction otherwise.
-	// Both engines produce byte-identical programs.
-	Engine string
 }
 
 // Service is a concurrent compilation service. It is safe for use from
@@ -116,7 +103,6 @@ type Service struct {
 	retries int
 	backoff time.Duration
 	measure bool
-	engine  string
 
 	// inflight collapses concurrent requests for the same key into one
 	// table construction (or one disk decode).
@@ -154,7 +140,6 @@ func New(opts Options) *Service {
 		retries:  opts.Retries,
 		backoff:  backoff,
 		measure:  opts.MeasureAllocs,
-		engine:   opts.Engine,
 		inflight: map[string]*call{},
 	}
 	if s.store == nil && opts.CacheDir != "" {
@@ -272,33 +257,12 @@ func (s *Service) Target(specName, specSrc string, cfg codegen.Config) (*driver.
 }
 
 // TargetCtx is Target with a context (see ModuleCtx for the spans).
-// When Options.Engine selects the emitted engine, the target translates
-// through the compiled-in generated code generator instead of the table
-// interpreter (byte-identical output; see driver.Target.AttachEmitted).
 func (s *Service) TargetCtx(ctx context.Context, specName, specSrc string, cfg codegen.Config) (*driver.Target, error) {
 	mod, err := s.ModuleCtx(ctx, specName, specSrc)
 	if err != nil {
 		return nil, err
 	}
-	tgt, err := driver.NewTargetFromModule(mod, cfg)
-	if err != nil {
-		return nil, err
-	}
-	switch s.engine {
-	case "", "interpreted":
-	case "auto", "emitted":
-		ok, err := tgt.AttachEmitted(specName, specSrc, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if !ok && s.engine == "emitted" {
-			return nil, fmt.Errorf("batch: no emitted engine compiled in for %s (registered: %v)",
-				specName, codegen.EmittedSpecs())
-		}
-	default:
-		return nil, fmt.Errorf("batch: unknown engine %q (want interpreted, auto, or emitted)", s.engine)
-	}
-	return tgt, nil
+	return driver.NewTargetFromModule(mod, cfg)
 }
 
 // Unit is one program to compile: a named Pascal source plus its
@@ -438,7 +402,7 @@ func translateOne(tgt *driver.Target, u IFUnit) IFResult {
 	if err != nil {
 		return IFResult{Name: u.Name, Err: err}
 	}
-	prog, res, err := tgt.Translator().GenerateCtx(ctxOf(u.Ctx), u.Name, toks)
+	prog, res, err := tgt.Gen.GenerateCtx(ctxOf(u.Ctx), u.Name, toks)
 	if err != nil {
 		return IFResult{Name: u.Name, Err: err}
 	}

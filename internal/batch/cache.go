@@ -135,12 +135,19 @@ func (s *Service) storeBlob(ctx context.Context, key, specName string, mod *tabl
 }
 
 // storeBlobRetry is storeBlob with the service's transient-fault retry
-// schedule.
+// schedule. A backoff wait ends early with the context's error when ctx
+// is done.
 func (s *Service) storeBlobRetry(ctx context.Context, key, specName string, mod *tables.Module) error {
 	err := s.storeBlob(ctx, key, specName, mod)
 	for try := 0; err != nil && try < s.retries && transient(err); try++ {
 		s.Stats.Retries.Add(1)
-		time.Sleep(s.backoff << try)
+		t := time.NewTimer(s.backoff << try)
+		select {
+		case <-ctx.Done():
+			t.Stop()
+			return ctx.Err()
+		case <-t.C:
+		}
 		err = s.storeBlob(ctx, key, specName, mod)
 	}
 	return err

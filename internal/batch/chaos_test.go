@@ -1,6 +1,7 @@
 package batch_test
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -8,8 +9,10 @@ import (
 	"time"
 
 	"cogg/internal/batch"
+	"cogg/internal/blob"
 	"cogg/internal/faultinject"
 	"cogg/internal/shaper"
+	"cogg/specs"
 )
 
 // chaosUnits builds n distinct programs named u00..u(n-1). The program
@@ -182,6 +185,51 @@ func TestCacheWriteFaultRetriesThenSucceeds(t *testing.T) {
 	}
 	if n := len(cacheFiles(t, dir)); n != 1 {
 		t.Errorf("disk cache holds %d entries, want 1", n)
+	}
+}
+
+// cancelOnPut cancels a context right after the first Put it forwards,
+// recording when, so a test can time what follows the cancellation.
+type cancelOnPut struct {
+	blob.Store
+	cancel   context.CancelFunc
+	canceled time.Time
+}
+
+func (c *cancelOnPut) Put(ctx context.Context, key string, payload []byte) error {
+	err := c.Store.Put(ctx, key, payload)
+	if c.canceled.IsZero() {
+		c.canceled = time.Now()
+		c.cancel()
+	}
+	return err
+}
+
+// TestCacheWriteRetryHonorsCancel: a cache write failing with a
+// transient fault backs off before retrying, but a canceled context ends
+// the wait at once instead of sleeping through the schedule.
+func TestCacheWriteRetryHonorsCancel(t *testing.T) {
+	defer faultinject.Reset()
+	faultinject.Set(faultinject.Rule{Site: "blob/put", Kind: faultinject.KindError, Class: "io"})
+
+	const backoff = time.Second
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	store := &cancelOnPut{Store: blob.NewMem(0, 0), cancel: cancel}
+	svc := batch.New(batch.Options{Blob: store, Retries: 3, RetryBackoff: backoff})
+
+	mod, err := svc.ModuleCtx(ctx, specName, specs.AmdahlMinimal)
+	if err != nil || mod == nil {
+		t.Fatalf("ModuleCtx = %v, %v; a failed cache write must still serve the module", mod, err)
+	}
+	if store.canceled.IsZero() {
+		t.Fatal("the cache write never reached the store")
+	}
+	if d := time.Since(store.canceled); d >= backoff/4 {
+		t.Errorf("returned %v after cancellation; want well within one %v backoff quantum", d, backoff)
+	}
+	if v := svc.Stats.Snapshot(); v.DiskWriteErrs != 1 {
+		t.Errorf("DiskWriteErrs = %d, want 1", v.DiskWriteErrs)
 	}
 }
 

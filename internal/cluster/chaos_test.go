@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"cogg/internal/faultinject"
+	"cogg/internal/fleet"
 	"cogg/internal/server"
 )
 
@@ -127,7 +128,7 @@ func TestFailoverOnKilledOwner(t *testing.T) {
 	}
 	// The dead owner's breaker learned from the transport error.
 	st := snap.Replicas[f.indexOf(t, owner)]
-	if st.Breaker == BreakerOpen.String() {
+	if st.Breaker == fleet.BreakerOpen.String() {
 		return // already open — even better
 	}
 	// One request = one failure; the breaker needs threshold hits to

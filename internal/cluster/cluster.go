@@ -41,6 +41,7 @@ import (
 	"sync"
 	"time"
 
+	"cogg/internal/fleet"
 	"cogg/internal/obs"
 )
 
@@ -146,7 +147,7 @@ type replica struct {
 	name  string // host:port, the metrics label
 	token string // order-independent sticky-routing token (URL hash)
 
-	br *breaker
+	br *fleet.Breaker
 
 	mu     sync.Mutex
 	probed bool // at least one active probe has completed
@@ -227,7 +228,7 @@ func New(opts Options) (*Client, error) {
 			idx:  len(c.reps),
 			url:  u,
 			name: name,
-			br:   newBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
+			br:   fleet.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
 		}
 		c.reps = append(c.reps, rep)
 	}
@@ -371,7 +372,7 @@ func (c *Client) do(ctx context.Context, path, key string, body []byte, hedge bo
 			// Read-only breaker peek (State, not Allow): record which
 			// replicas the picker is about to route around.
 			for _, r := range order {
-				if r.br.State() == BreakerOpen {
+				if r.br.State() == fleet.BreakerOpen {
 					tr.Annotate(pspan, "breaker-open:"+r.name)
 				}
 			}

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"cogg/internal/fleet"
 )
 
 func testReplicas(n int) []*replica {
@@ -14,7 +16,7 @@ func testReplicas(n int) []*replica {
 			idx:  i,
 			url:  fmt.Sprintf("http://10.0.0.%d:8470", i+1),
 			name: fmt.Sprintf("10.0.0.%d:8470", i+1),
-			br:   newBreaker(5, time.Second),
+			br:   fleet.NewBreaker(5, time.Second),
 		}
 	}
 	return reps
@@ -69,21 +71,21 @@ func TestRingSpreadsKeys(t *testing.T) {
 // open → half-open → closed cycle on a fake clock.
 func TestBreakerLifecycle(t *testing.T) {
 	now := time.Unix(1000, 0)
-	b := newBreaker(3, time.Second)
+	b := fleet.NewBreaker(3, time.Second)
 	b.Now = func() time.Time { return now }
-	var transitions []BreakerState
-	b.OnTransition = func(to BreakerState) { transitions = append(transitions, to) }
+	var transitions []fleet.BreakerState
+	b.OnTransition = func(to fleet.BreakerState) { transitions = append(transitions, to) }
 
 	if !b.Allow() {
 		t.Fatal("closed breaker refused a request")
 	}
 	b.Failure()
 	b.Failure()
-	if b.State() != BreakerClosed {
+	if b.State() != fleet.BreakerClosed {
 		t.Fatalf("2/3 failures already opened the breaker")
 	}
 	b.Failure()
-	if b.State() != BreakerOpen {
+	if b.State() != fleet.BreakerOpen {
 		t.Fatal("threshold failures did not open the breaker")
 	}
 	if b.Allow() {
@@ -94,14 +96,14 @@ func TestBreakerLifecycle(t *testing.T) {
 	if !b.Allow() {
 		t.Fatal("cooled-down breaker refused the half-open probe")
 	}
-	if b.State() != BreakerHalfOpen {
+	if b.State() != fleet.BreakerHalfOpen {
 		t.Fatalf("state after probe admission: %v", b.State())
 	}
 	if b.Allow() {
 		t.Fatal("half-open breaker admitted a second request while probing")
 	}
 	b.Failure() // the probe failed: slam open again
-	if b.State() != BreakerOpen {
+	if b.State() != fleet.BreakerOpen {
 		t.Fatal("failed probe did not re-open the breaker")
 	}
 
@@ -110,14 +112,14 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatal("second half-open probe refused")
 	}
 	b.Success()
-	if b.State() != BreakerClosed {
+	if b.State() != fleet.BreakerClosed {
 		t.Fatal("successful probe did not close the breaker")
 	}
 	if !b.Allow() {
 		t.Fatal("re-closed breaker refused a request")
 	}
 
-	want := []BreakerState{BreakerOpen, BreakerHalfOpen, BreakerOpen, BreakerHalfOpen, BreakerClosed}
+	want := []fleet.BreakerState{fleet.BreakerOpen, fleet.BreakerHalfOpen, fleet.BreakerOpen, fleet.BreakerHalfOpen, fleet.BreakerClosed}
 	if len(transitions) != len(want) {
 		t.Fatalf("transitions %v, want %v", transitions, want)
 	}
@@ -134,7 +136,7 @@ func TestBreakerLifecycle(t *testing.T) {
 // everything forever.
 func TestBreakerCancelProbeReleasesSlot(t *testing.T) {
 	now := time.Unix(1000, 0)
-	b := newBreaker(1, time.Second)
+	b := fleet.NewBreaker(1, time.Second)
 	b.Now = func() time.Time { return now }
 
 	b.Failure() // trip open
@@ -146,20 +148,20 @@ func TestBreakerCancelProbeReleasesSlot(t *testing.T) {
 		t.Fatal("half-open breaker admitted a second request while probing")
 	}
 	b.CancelProbe() // the probe request was canceled: no verdict
-	if b.State() != BreakerHalfOpen {
+	if b.State() != fleet.BreakerHalfOpen {
 		t.Fatalf("cancelProbe changed state to %v", b.State())
 	}
 	if !b.Allow() {
 		t.Fatal("breaker still rejecting after the canceled probe released the slot")
 	}
 	b.Success()
-	if b.State() != BreakerClosed {
+	if b.State() != fleet.BreakerClosed {
 		t.Fatal("successful re-probe did not close the breaker")
 	}
 
 	// On a closed breaker cancelProbe is a no-op, not a reset.
 	b.CancelProbe()
-	if !b.Allow() || b.State() != BreakerClosed {
+	if !b.Allow() || b.State() != fleet.BreakerClosed {
 		t.Fatal("cancelProbe disturbed a closed breaker")
 	}
 }
@@ -201,17 +203,17 @@ func TestReplicaTokensOrderIndependent(t *testing.T) {
 // TestBreakerSuccessResetsCount: failures must be consecutive to trip;
 // any success restarts the count.
 func TestBreakerSuccessResetsCount(t *testing.T) {
-	b := newBreaker(3, time.Second)
+	b := fleet.NewBreaker(3, time.Second)
 	b.Failure()
 	b.Failure()
 	b.Success()
 	b.Failure()
 	b.Failure()
-	if b.State() != BreakerClosed {
+	if b.State() != fleet.BreakerClosed {
 		t.Fatal("interleaved successes still tripped the breaker")
 	}
 	b.Failure()
-	if b.State() != BreakerOpen {
+	if b.State() != fleet.BreakerOpen {
 		t.Fatal("three consecutive failures did not trip the breaker")
 	}
 }

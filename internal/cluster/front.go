@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"cogg/internal/fleet"
 	"cogg/internal/obs"
 )
 
@@ -104,7 +105,7 @@ func (f *Front) handleArtifacts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, rep := range f.c.reps {
-		if rep.br.State() == BreakerOpen {
+		if rep.br.State() == fleet.BreakerOpen {
 			continue
 		}
 		req, err := http.NewRequestWithContext(r.Context(), r.Method, rep.url+r.URL.Path, nil)
@@ -350,7 +351,7 @@ func (f *Front) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			if probed && !rdy {
 				continue
 			}
-			if rep.br.State() != BreakerOpen {
+			if rep.br.State() != fleet.BreakerOpen {
 				ready = true
 				break
 			}

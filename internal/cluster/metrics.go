@@ -3,6 +3,7 @@ package cluster
 import (
 	"sync"
 
+	"cogg/internal/fleet"
 	"cogg/internal/obs"
 )
 
@@ -62,13 +63,13 @@ func newMetrics(reg *obs.Registry, reps []*replica) *metrics {
 			})
 		// Breaker transitions by destination state, via the breaker's
 		// hook so the counters see every flip including probe failures.
-		trans := map[BreakerState]*obs.Counter{}
-		for _, st := range []BreakerState{BreakerClosed, BreakerHalfOpen, BreakerOpen} {
+		trans := map[fleet.BreakerState]*obs.Counter{}
+		for _, st := range []fleet.BreakerState{fleet.BreakerClosed, fleet.BreakerHalfOpen, fleet.BreakerOpen} {
 			trans[st] = reg.Counter("cluster_breaker_transitions_total",
 				"Circuit breaker state transitions by replica and destination state.",
 				obs.L("replica", rep.name, "to", st.String()))
 		}
-		rep.br.OnTransition = func(to BreakerState) {
+		rep.br.OnTransition = func(to fleet.BreakerState) {
 			if ctr, ok := trans[to]; ok {
 				ctr.Inc()
 			}

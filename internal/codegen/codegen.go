@@ -270,9 +270,6 @@ func (g *Generator) NewSession() (*Session, error) {
 		slots:     make([]int64, g.maxSlots),
 		allocMark: make([]bool, g.maxSlots),
 	}
-	// The parse driver is bound once per session (not per call) so the
-	// steady-state Generate path never allocates a method value.
-	s.r.parseFn = s.r.parse
 	return s, nil
 }
 
@@ -289,14 +286,7 @@ func (s *Session) Generate(name string, toks []ir.Token) (*asm.Program, *Result,
 // with a plain background context and nil Metrics the timing reads are
 // skipped entirely.
 func (s *Session) GenerateCtx(ctx context.Context, name string, toks []ir.Token) (*asm.Program, *Result, error) {
-	return s.r.translate(ctx, name, toks)
-}
-
-// translate is one full translation on a run: reset, drive the parse
-// (interpreted or generated, per parseFn), collect statistics, and
-// flush metrics/trace spans. It is the shared body behind
-// Session.GenerateCtx and EmitRT.Translate.
-func (r *run) translate(ctx context.Context, name string, toks []ir.Token) (*asm.Program, *Result, error) {
+	r := &s.r
 	r.reset(name, toks)
 	tr, parent := obs.FromContext(ctx)
 	m := r.g.cfg.Metrics
@@ -305,7 +295,7 @@ func (r *run) translate(ctx context.Context, name string, toks []ir.Token) (*asm
 	if r.timed {
 		start = time.Now()
 	}
-	err := r.parseFn()
+	err := r.parse()
 	rs := r.ra.RunStats()
 	r.res.RegAllocs = int(rs.Allocs)
 	r.res.Evictions = int(rs.Evictions)

@@ -2,114 +2,18 @@ package codegen
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"sort"
-	"sync"
 
 	"cogg/internal/asm"
 	"cogg/internal/ir"
 )
 
-// Engine is the translation seam between table consumers (driver,
-// batch, server) and a code generator implementation. Two
-// implementations exist: the interpreted Generator, which walks the
-// decoded comb tables, and emitted engines — Go packages generated by
-// `cogg emit-go` (internal/emitgo) that carry the same tables compiled
-// into switch-threaded code. Both produce byte-identical programs; the
-// emitted form trades module flexibility for speed.
-type Engine interface {
-	// NewEngineSession builds a reusable translation session. Sessions
-	// are single-goroutine; their results alias session storage until
-	// the next Generate (see Session).
-	NewEngineSession() (EngineSession, error)
-	// Generate translates one linearized IF program on a fresh session.
-	Generate(name string, toks []ir.Token) (*asm.Program, *Result, error)
-	// GenerateCtx is Generate with trace/metrics context.
-	GenerateCtx(ctx context.Context, name string, toks []ir.Token) (*asm.Program, *Result, error)
-}
-
-// EngineSession is one engine's reusable translation session: the
-// zero-allocation steady-state surface the server's session pools and
-// the batch service run on.
+// EngineSession is the translation surface of a reusable Session. The
+// serving benchmark's layer replayer (perfbench) is its caller.
 type EngineSession interface {
 	Generate(name string, toks []ir.Token) (*asm.Program, *Result, error)
 	GenerateCtx(ctx context.Context, name string, toks []ir.Token) (*asm.Program, *Result, error)
 }
 
-// NewEngineSession adapts the interpreted Generator to the Engine
-// interface (Go interface methods cannot covariantly return *Session).
+// NewEngineSession is NewSession behind the EngineSession interface,
+// for the same caller.
 func (g *Generator) NewEngineSession() (EngineSession, error) { return g.NewSession() }
-
-var (
-	_ Engine        = (*Generator)(nil)
-	_ EngineSession = (*Session)(nil)
-)
-
-// EmittedEngine is one registered generated engine: a compiled-in
-// translator for a single specification, self-registered by the
-// generated package's init.
-type EmittedEngine struct {
-	// Spec is the specification name the engine was emitted from, as
-	// the driver names it ("amdahl470.cogg").
-	Spec string
-	// SpecSHA256 is the hex SHA-256 of the specification source the
-	// engine was generated from. Consumers verify it against the spec
-	// they are about to serve and fall back to the interpreter on
-	// mismatch, so a stale checked-in engine can never silently produce
-	// code for a different specification.
-	SpecSHA256 string
-	// New builds the engine for a configuration, performing the same
-	// validation as codegen.New.
-	New func(Config) (Engine, error)
-}
-
-// Matches reports whether the engine was generated from exactly this
-// specification source.
-func (e EmittedEngine) Matches(src []byte) bool {
-	return e.SpecSHA256 != "" && e.SpecSHA256 == SpecSHA256(src)
-}
-
-// SpecSHA256 is the digest RegisterEmitted keys engines by: hex SHA-256
-// over the raw specification source.
-func SpecSHA256(src []byte) string {
-	sum := sha256.Sum256(src)
-	return hex.EncodeToString(sum[:])
-}
-
-var (
-	emittedMu sync.RWMutex
-	emitted   = map[string]EmittedEngine{}
-)
-
-// RegisterEmitted enters a generated engine into the process-wide
-// registry, keyed by specification name. Generated packages call it
-// from init; a later registration for the same spec replaces the
-// earlier one.
-func RegisterEmitted(e EmittedEngine) {
-	emittedMu.Lock()
-	defer emittedMu.Unlock()
-	emitted[e.Spec] = e
-}
-
-// EmittedFor returns the registered generated engine for a
-// specification name.
-func EmittedFor(spec string) (EmittedEngine, bool) {
-	emittedMu.RLock()
-	defer emittedMu.RUnlock()
-	e, ok := emitted[spec]
-	return e, ok
-}
-
-// EmittedSpecs lists the specifications with registered generated
-// engines, sorted.
-func EmittedSpecs() []string {
-	emittedMu.RLock()
-	defer emittedMu.RUnlock()
-	out := make([]string, 0, len(emitted))
-	for s := range emitted {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}

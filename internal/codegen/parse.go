@@ -3,7 +3,6 @@ package codegen
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"cogg/internal/asm"
 	"cogg/internal/cse"
@@ -116,15 +115,6 @@ type run struct {
 	packed *tables.Packed
 	dense  *lr.Table // optional uncompressed dispatch (benchmark ablation)
 
-	// parseFn drives the skeletal parser: the interpreted loop for
-	// Session, the generated loop for an emitted engine (see emitrt.go).
-	// actionFn, when set, replaces the table lookup for the cold paths
-	// that re-dispatch actions outside the main loop (blocked-parse
-	// resync and expected-symbol simulation) — an emitted engine carries
-	// its action table as compiled code, not as a Packed module.
-	parseFn  func() error
-	actionFn func(state, sym int) lr.Action
-
 	autoLabel int64 // allocator for generator-internal (negative) labels
 	stmtNum   int   // current source statement, from stmt_record
 
@@ -142,12 +132,10 @@ type run struct {
 	// phase timing, accumulated per reduction when metrics or a trace
 	// are attached (GenerateCtx sets timed): regallocNS covers the
 	// up-front allocate, emitNS the template/semantic steps. Both are
-	// slices of the surrounding parse-reduce phase. phaseT0 is the
-	// running phase-boundary clock read (see beginReduce/endAllocPhase).
+	// slices of the surrounding parse-reduce phase.
 	timed      bool
 	regallocNS int64
 	emitNS     int64
-	phaseT0    time.Time
 
 	// derivation provenance (opt-in, see provenance.go): curPlan and
 	// curStep track the reduction context emit attributes entries to;
@@ -373,12 +361,8 @@ func (r *run) top() *stackEntry { return &r.stack[len(r.stack)-1] }
 
 // lookupAction dispatches one (state, symbol) pair outside the main
 // parse loop: blocked-parse resynchronization and the expected-symbol
-// simulation. The interpreted loop keeps its own inlined dense/packed
-// dispatch; an emitted engine supplies actionFn instead of tables.
+// simulation. The main loop keeps its own inlined dense/packed dispatch.
 func (r *run) lookupAction(state, sym int) lr.Action {
-	if r.actionFn != nil {
-		return r.actionFn(state, sym)
-	}
 	if r.dense != nil {
 		return r.dense.Lookup(state, sym)
 	}

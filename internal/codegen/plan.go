@@ -141,20 +141,23 @@ type prodPlan struct {
 	prod   *grammar.Prod
 	nslots int
 
-	slotRef []grammar.Ref // slot -> bound reference
+	slotRef   []grammar.Ref // slot -> bound reference
+	slotClass []string      // slot -> register class name, "" when none
 
-	rhsSlot []int32 // RHS position -> slot binding the popped value, -1 none
+	rhsSlot  []int32  // RHS position -> slot binding the popped value, -1 none
+	rhsClass []string // RHS position -> register class name, "" when none
 
 	uses  []allocStep
 	needs []allocStep
 
 	steps []tmplStep
 
-	// tail is the reduction epilogue's static data (release/push), in
-	// the exported form shared with emitted engines (see reduce.go);
-	// tail.SlotClass doubles as the slot -> register class table the
-	// allocation cores consult.
-	tail ReduceTail
+	lambda      bool
+	lhsClass    string
+	lhsName     string
+	lhsTag      int
+	lhsSlot     int32 // slot of the {LHS, LHSTag} reference, -1 when unbound
+	lhsFallback int32 // class-conversion source slot, -1 when none
 }
 
 // compilePlans builds the per-production plans for a generator.
@@ -172,14 +175,11 @@ func (g *Generator) compilePlans() {
 func (g *Generator) compileProd(p *grammar.Prod) prodPlan {
 	gr := g.mod.Grammar
 	pl := prodPlan{
-		prod: p,
-		tail: ReduceTail{
-			ProdNum:     p.Num,
-			Lambda:      gr.IsLambda(p.LHS),
-			LHSTag:      p.LHSTag,
-			LHSSlot:     -1,
-			LHSFallback: -1,
-		},
+		prod:        p,
+		lambda:      gr.IsLambda(p.LHS),
+		lhsTag:      p.LHSTag,
+		lhsSlot:     -1,
+		lhsFallback: -1,
 	}
 
 	// Slots exist for exactly the statically-bound references: tagged RHS
@@ -194,15 +194,15 @@ func (g *Generator) compileProd(p *grammar.Prod) prodPlan {
 		s := int32(len(pl.slotRef))
 		slotOf[ref] = s
 		pl.slotRef = append(pl.slotRef, ref)
-		pl.tail.SlotClass = append(pl.tail.SlotClass, g.classOf(ref.Sym))
+		pl.slotClass = append(pl.slotClass, g.classOf(ref.Sym))
 		return s
 	}
 
 	pl.rhsSlot = make([]int32, len(p.RHS))
-	pl.tail.RHSClass = make([]string, len(p.RHS))
+	pl.rhsClass = make([]string, len(p.RHS))
 	for i, sym := range p.RHS {
 		pl.rhsSlot[i] = -1
-		pl.tail.RHSClass[i] = g.classOf(sym)
+		pl.rhsClass[i] = g.classOf(sym)
 		if tag := p.RHSTags[i]; tag >= 0 {
 			pl.rhsSlot[i] = addSlot(grammar.Ref{Sym: sym, Tag: tag})
 		}
@@ -277,18 +277,18 @@ func (g *Generator) compileProd(p *grammar.Prod) prodPlan {
 		pl.steps = append(pl.steps, st)
 	}
 
-	if !pl.tail.Lambda {
-		pl.tail.LHSClass = g.classOf(p.LHS)
-		pl.tail.LHSName = gr.SymName(p.LHS)
+	if !pl.lambda {
+		pl.lhsClass = g.classOf(p.LHS)
+		pl.lhsName = gr.SymName(p.LHS)
 		lref := grammar.Ref{Sym: p.LHS, Tag: p.LHSTag}
 		if s, ok := slotOf[lref]; ok {
-			pl.tail.LHSSlot = s
+			pl.lhsSlot = s
 		}
 		// Class-conversion fallback ("r.1 ::= d.1"): the value of a
 		// same-tagged right-side nonterminal transfers to the left side.
 		for s, ref := range pl.slotRef {
 			if ref != lref && ref.Tag == p.LHSTag && gr.KindOf(ref.Sym) == grammar.Nonterminal {
-				pl.tail.LHSFallback = int32(s)
+				pl.lhsFallback = int32(s)
 			}
 		}
 	}

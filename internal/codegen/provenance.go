@@ -1,7 +1,6 @@
 package codegen
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -58,14 +57,6 @@ type ProvEntry struct {
 	Operands []string `json:"operands,omitempty"`
 	Stmt     int      `json:"stmt,omitempty"` // source statement, from stmt_record
 }
-
-// ErrProvenanceUnsupported is returned when derivation recording is
-// requested from an emitted (generated-code) engine. Provenance is an
-// interpreter-only feature: the emitted engine compiles templates away,
-// so the template-index bookkeeping the recording relies on does not
-// exist there. Translate with the interpreted engine to explain a unit.
-var ErrProvenanceUnsupported = errors.New(
-	"codegen: derivation recording is interpreter-only; the emitted engine does not support provenance")
 
 // EnableProvenance turns derivation recording on or off for subsequent
 // Generate calls on this session.

@@ -16,34 +16,56 @@ import (
 // popped right side aliases the truncated parse-stack tail — nothing is
 // pushed onto the parse stack until the reduction completes — so a
 // steady-state reduction performs no heap allocation.
-//
-// The routine is split into cores (beginReduce, the allocation cores,
-// endReduce) shared with the emitted engine: a generated reduction site
-// (see internal/emitgo) performs the same sequence with the plan data
-// baked in as constants, calling the identical cores for everything
-// that touches run state, so interpreted and emitted output stay
-// byte-identical by construction.
 func (r *run) reduce(pi int) error {
 	pl := &r.g.plans[pi]
 	p := pl.prod
-	r.curPlan = pl
-	if err := r.beginReduce(p.Num, len(p.RHS), pl.nslots); err != nil {
+	if err := faultinject.Eval("codegen/reduce", r.prog.Name); err != nil {
 		return err
 	}
+	r.ra.Tick()
+	r.res.Reductions++
+	r.res.ProdCounts[p.Num]++
+	r.curPlan = pl
+
+	// Remove the current production from the parse stack.
+	n := len(p.RHS)
+	if len(r.stack)-1 < n {
+		return &GenError{Pos: r.input.pos, State: r.top().state,
+			Msg: fmt.Sprintf("reduce of production %d needs %d stack symbols, have %d", p.Num, n, len(r.stack)-1)}
+	}
+	r.popped = r.stack[len(r.stack)-n:]
+	r.stack = r.stack[:len(r.stack)-n]
 	for i, s := range pl.rhsSlot {
 		if s >= 0 {
 			r.slots[s] = r.popped[i].val
 		}
 	}
+	for i := 0; i < pl.nslots; i++ {
+		r.allocMark[i] = false
+	}
+	r.ignoreLHS = false
+	r.pushed = r.pushed[:0]
 
 	// Allocate all requested registers at once, before acting on any
-	// template (paper section 4.1).
+	// template (paper section 4.1). When timed, the allocate and the
+	// template steps accumulate into the regalloc and emit phases; the
+	// clock reads cost two time.Now calls per reduction and no
+	// allocation, so the instrumented hot path stays zero-alloc.
+	var t0 time.Time
+	if r.timed {
+		t0 = time.Now()
+	}
 	if err := r.allocate(pl); err != nil {
 		return err
 	}
-	r.endAllocPhase()
+	if r.timed {
+		now := time.Now()
+		r.regallocNS += now.Sub(t0).Nanoseconds()
+		t0 = now
+	}
 
 	// Fill in required values and act on each associated template.
+	r.pendingSkips = r.pendingSkips[:0]
 	for si := range pl.steps {
 		st := &pl.steps[si]
 		r.curStep = st
@@ -58,124 +80,43 @@ func (r *run) reduce(pi int) error {
 		}
 	}
 	r.curStep = nil
-	r.endEmitPhase()
-	if err := r.checkTrailingSkips(p.Num); err != nil {
-		return err
-	}
-	return r.endReduce(&pl.tail)
-}
-
-// beginReduce opens one reduction: the chaos failpoint, the statistics
-// counters, popping the production's right side off the parse stack,
-// and resetting the per-reduction scratch. When timed, it also opens
-// the regalloc phase clock; the allocate and the template steps
-// accumulate into the regalloc and emit phases through endAllocPhase
-// and endEmitPhase. The clock reads cost two time.Now calls per
-// reduction and no allocation, so the instrumented hot path stays
-// zero-alloc.
-func (r *run) beginReduce(prodNum, rhsLen, nslots int) error {
-	if err := faultinject.Eval("codegen/reduce", r.prog.Name); err != nil {
-		return err
-	}
-	r.ra.Tick()
-	r.res.Reductions++
-	r.res.ProdCounts[prodNum]++
-
-	if len(r.stack)-1 < rhsLen {
-		return &GenError{Pos: r.input.pos, State: r.top().state,
-			Msg: fmt.Sprintf("reduce of production %d needs %d stack symbols, have %d", prodNum, rhsLen, len(r.stack)-1)}
-	}
-	r.popped = r.stack[len(r.stack)-rhsLen:]
-	r.stack = r.stack[:len(r.stack)-rhsLen]
-	for i := 0; i < nslots; i++ {
-		r.allocMark[i] = false
-	}
-	r.ignoreLHS = false
-	r.pushed = r.pushed[:0]
-	r.pendingSkips = r.pendingSkips[:0]
 	if r.timed {
-		r.phaseT0 = time.Now()
+		r.emitNS += time.Since(t0).Nanoseconds()
 	}
-	return nil
-}
-
-// endAllocPhase closes the regalloc phase and opens the emit phase.
-func (r *run) endAllocPhase() {
-	if r.timed {
-		now := time.Now()
-		r.regallocNS += now.Sub(r.phaseT0).Nanoseconds()
-		r.phaseT0 = now
-	}
-}
-
-// endEmitPhase closes the emit phase opened by endAllocPhase.
-func (r *run) endEmitPhase() {
-	if r.timed {
-		r.emitNS += time.Since(r.phaseT0).Nanoseconds()
-	}
-}
-
-// checkTrailingSkips verifies that no skip jumped past the end of the
-// production's template sequence. A trailing skip may legitimately
-// complete at the end of the sequence; anything else is a template
-// error.
-func (r *run) checkTrailingSkips(prodNum int) error {
 	if len(r.pendingSkips) > 0 {
+		// A trailing skip may legitimately complete at the end of the
+		// production's sequence; anything else is a template error.
 		for _, ps := range r.pendingSkips {
 			if ps.remaining > 0 {
 				return &GenError{Pos: r.input.pos, State: r.top().state,
-					Msg: fmt.Sprintf("production %d: skip of %d instructions extends past its template sequence", prodNum, ps.remaining)}
+					Msg: fmt.Sprintf("production %d: skip of %d instructions extends past its template sequence", p.Num, ps.remaining)}
 			}
 		}
 		r.pendingSkips = r.pendingSkips[:0]
 	}
-	return nil
-}
 
-// ReduceTail is the static release/push data of one production's
-// reduction epilogue: which popped operand registers to release, which
-// occurrence the left side reuses, and the transient slots to free. The
-// interpreter stores one per compiled plan; an emitted engine bakes
-// them in as package data.
-type ReduceTail struct {
-	ProdNum int
-	Lambda  bool
-
-	LHSClass    string
-	LHSName     string
-	LHSTag      int
-	LHSSlot     int32 // slot of the {LHS, LHSTag} reference, -1 when unbound
-	LHSFallback int32 // class-conversion source slot, -1 when none
-
-	RHSClass  []string // RHS position -> register class name, "" when none
-	SlotClass []string // slot -> register class name, "" when none
-}
-
-// endReduce runs the reduction epilogue: release operand registers
-// consumed from the parse stack (keeping the occurrence the left side
-// reuses), release transient registers, and prefix the left side and
-// any staged tokens to the input stream.
-func (r *run) endReduce(t *ReduceTail) error {
-	pushLHS := !t.Lambda && !r.ignoreLHS
+	// Release operand registers consumed from the parse stack, keeping
+	// the occurrence the left side reuses.
+	pushLHS := !pl.lambda && !r.ignoreLHS
 	var lhsVal int64
 	if pushLHS {
-		slot := t.LHSSlot
+		slot := pl.lhsSlot
 		if slot < 0 {
-			slot = t.LHSFallback
+			slot = pl.lhsFallback
 		}
 		if slot < 0 {
 			return &GenError{Pos: r.input.pos, State: r.top().state,
-				Msg: fmt.Sprintf("production %d: left side %s.%d has no value", t.ProdNum, t.LHSName, t.LHSTag)}
+				Msg: fmt.Sprintf("production %d: left side %s.%d has no value", p.Num, pl.lhsName, pl.lhsTag)}
 		}
 		lhsVal = r.slots[slot]
 	}
 	keptLHS := false
 	for i := range r.popped {
-		class := t.RHSClass[i]
+		class := pl.rhsClass[i]
 		if class == "" {
 			continue
 		}
-		if pushLHS && !keptLHS && class == t.LHSClass && r.popped[i].val == lhsVal {
+		if pushLHS && !keptLHS && class == pl.lhsClass && r.popped[i].val == lhsVal {
 			keptLHS = true
 			continue
 		}
@@ -183,17 +124,17 @@ func (r *run) endReduce(t *ReduceTail) error {
 	}
 	// The LHS register was allocated for this production; its single use
 	// transfers to the prefixed token.
-	if pushLHS && t.LHSSlot >= 0 {
-		r.allocMark[t.LHSSlot] = false
+	if pushLHS && pl.lhsSlot >= 0 {
+		r.allocMark[pl.lhsSlot] = false
 	}
 
 	// Release transient registers: scratch registers for skips and long
 	// branches, linkage registers taken with `need`.
-	for si := 0; si < len(t.SlotClass); si++ {
+	for si := 0; si < pl.nslots; si++ {
 		if !r.allocMark[si] {
 			continue
 		}
-		class := t.SlotClass[si]
+		class := pl.slotClass[si]
 		if class == "" {
 			continue
 		}
@@ -211,14 +152,14 @@ func (r *run) endReduce(t *ReduceTail) error {
 	// input stream. Lambda productions complete a statement: the parse
 	// stack must be back at the bottom.
 	if pushLHS {
-		r.pushed = append(r.pushed, ir.Token{Sym: t.LHSName, Val: lhsVal})
+		r.pushed = append(r.pushed, ir.Token{Sym: pl.lhsName, Val: lhsVal})
 	}
 	if len(r.pushed) > 0 {
 		r.input.prefix(r.pushed...)
 	}
-	if t.Lambda && len(r.stack) != 1 {
+	if pl.lambda && len(r.stack) != 1 {
 		return &GenError{Pos: r.input.pos, State: r.top().state,
-			Msg: fmt.Sprintf("statement production %d reduced with %d symbols still on the parse stack", t.ProdNum, len(r.stack)-1)}
+			Msg: fmt.Sprintf("statement production %d reduced with %d symbols still on the parse stack", p.Num, len(r.stack)-1)}
 	}
 	return nil
 }
@@ -230,49 +171,32 @@ func (r *run) allocate(pl *prodPlan) error {
 		if u.class == "" {
 			return fmt.Errorf("codegen: using %s.%d: not a register class", r.gr.SymName(u.ref.Sym), u.ref.Tag)
 		}
-		if err := r.allocUsing(u.class, u.slot, pl.prod.Num); err != nil {
-			return err
+		n, err := r.ra.Using(u.class)
+		if err != nil {
+			return &ResourceError{Kind: ResRegisters, Pos: r.input.pos, State: r.top().state,
+				Msg: fmt.Sprintf("production %d: %v", pl.prod.Num, err)}
 		}
+		r.slots[u.slot] = int64(n)
+		r.allocMark[u.slot] = true
 	}
 	for i := range pl.needs {
 		nd := &pl.needs[i]
 		if nd.class == "" {
 			return fmt.Errorf("codegen: need %s.%d: not a register class", r.gr.SymName(nd.ref.Sym), nd.ref.Tag)
 		}
-		if err := r.allocNeed(nd.class, nd.ref.Tag, nd.slot, pl.tail.SlotClass, pl.prod.Num); err != nil {
-			return err
+		mv, evicted, err := r.ra.Need(nd.class, nd.ref.Tag)
+		if err != nil {
+			return &ResourceError{Kind: ResRegisters, Pos: r.input.pos, State: r.top().state,
+				Msg: fmt.Sprintf("production %d: %v", pl.prod.Num, err)}
 		}
-	}
-	return nil
-}
-
-// allocUsing is one `using` request: any free register of the class.
-func (r *run) allocUsing(class string, slot int32, prodNum int) error {
-	n, err := r.ra.Using(class)
-	if err != nil {
-		return &ResourceError{Kind: ResRegisters, Pos: r.input.pos, State: r.top().state,
-			Msg: fmt.Sprintf("production %d: %v", prodNum, err)}
-	}
-	r.slots[slot] = int64(n)
-	r.allocMark[slot] = true
-	return nil
-}
-
-// allocNeed is one `need` request: a specific physical register, with
-// the eviction move materialized when the register was busy.
-func (r *run) allocNeed(class string, regNum int, slot int32, slotClass []string, prodNum int) error {
-	mv, evicted, err := r.ra.Need(class, regNum)
-	if err != nil {
-		return &ResourceError{Kind: ResRegisters, Pos: r.input.pos, State: r.top().state,
-			Msg: fmt.Sprintf("production %d: %v", prodNum, err)}
-	}
-	if evicted {
-		if err := r.materializeMove(slotClass, mv.Class, mv.From, mv.To); err != nil {
-			return err
+		if evicted {
+			if err := r.materializeMove(pl, mv.Class, mv.From, mv.To); err != nil {
+				return err
+			}
 		}
+		r.slots[nd.slot] = int64(nd.ref.Tag)
+		r.allocMark[nd.slot] = true
 	}
-	r.slots[slot] = int64(regNum)
-	r.allocMark[slot] = true
 	return nil
 }
 
@@ -280,7 +204,7 @@ func (r *run) allocNeed(class string, regNum int, slot int32, slotClass []string
 // rewrites every holder of the old register: the translation stack, the
 // popped right side, the pushback queue, the current bindings, and the
 // CSE table.
-func (r *run) materializeMove(slotClass []string, class string, from, to int) error {
+func (r *run) materializeMove(pl *prodPlan, class string, from, to int) error {
 	op, ok := r.g.cfg.MoveOp[class]
 	if !ok {
 		return fmt.Errorf("codegen: no move opcode configured for register class %q", class)
@@ -302,8 +226,8 @@ func (r *run) materializeMove(slotClass []string, class string, from, to int) er
 			r.popped[i].val = int64(to)
 		}
 	}
-	for si := 0; si < len(slotClass); si++ {
-		if r.slots[si] == int64(from) && slotClass[si] == class {
+	for si := 0; si < pl.nslots; si++ {
+		if r.slots[si] == int64(from) && pl.slotClass[si] == class {
 			r.slots[si] = int64(to)
 		}
 	}
@@ -349,16 +273,9 @@ func (r *run) emit(in asm.Instr) int {
 }
 
 func (r *run) templateErr(pl *prodPlan, st *tmplStep, err error) error {
-	return r.tmplErr(pl.prod.Num, st.name, st.t.Line, err)
-}
-
-// tmplErr wraps a template-step failure with its production and
-// template context; GenErrors (which already carry position context)
-// pass through unchanged.
-func (r *run) tmplErr(prodNum int, name string, line int, err error) error {
 	if _, ok := err.(*GenError); ok {
 		return err
 	}
 	return &GenError{Pos: r.input.pos, State: r.top().state,
-		Msg: fmt.Sprintf("production %d, template %q (line %d): %v", prodNum, name, line, err)}
+		Msg: fmt.Sprintf("production %d, template %q (line %d): %v", pl.prod.Num, st.name, st.t.Line, err)}
 }

@@ -77,11 +77,18 @@ func (r *run) intervene(pl *prodPlan, st *tmplStep) error {
 		return nil
 
 	case semIBMLength:
+		// IBM SS instructions encode a length of n as n-1; rebind the
+		// terminal so subsequent templates see the encoded value.
 		rp, err := r.stepRef(st, 0)
 		if err != nil {
 			return err
 		}
-		return r.ibmLength(rp.slot)
+		v := r.slots[rp.slot]
+		if v < 1 || v > 256 {
+			return fmt.Errorf("IBM_length of %d is outside 1..256", v)
+		}
+		r.slots[rp.slot] = v - 1
+		return nil
 
 	case semPushOdd, semPushEven:
 		return r.semPushHalf(st, st.op == semPushOdd)
@@ -94,14 +101,14 @@ func (r *run) intervene(pl *prodPlan, st *tmplStep) error {
 		if err != nil {
 			return err
 		}
-		return r.defineLabelHere(v)
+		return r.prog.DefineLabel(v, len(r.prog.Instrs))
 
 	case semLabelPntr:
 		v, err := r.stepVal(st, 0)
 		if err != nil {
 			return err
 		}
-		r.addrConst(v)
+		r.emit(asm.Instr{Pseudo: asm.AddrConst, Label: v})
 		return nil
 
 	case semBranch, semBranchIndexed:
@@ -118,7 +125,7 @@ func (r *run) intervene(pl *prodPlan, st *tmplStep) error {
 		if err != nil {
 			return err
 		}
-		r.abortAt(v)
+		r.prog.AbortSites[len(r.prog.Instrs)] = v
 		return nil
 
 	case semStmtRecord:
@@ -134,7 +141,7 @@ func (r *run) intervene(pl *prodPlan, st *tmplStep) error {
 		if err != nil {
 			return err
 		}
-		r.listRequest(v)
+		r.prog.CallArgs[len(r.prog.Instrs)] = v
 		return nil
 
 	case semFullCommon, semHalfCommon, semByteCommon, semRealCommon, semDRealCommon:
@@ -177,48 +184,27 @@ func (r *run) semModifies(st *tmplStep) error {
 		if rp.class == "" {
 			return fmt.Errorf("modifies %s.%d: not a register", r.gr.SymName(rp.ref.Sym), rp.ref.Tag)
 		}
-		if err := r.modifiesReg(rp.class, rp.slot); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// modifiesReg is the modifies core for one register-class reference
-// already resolved to its slot.
-func (r *run) modifiesReg(class string, slot int32) error {
-	reg := int(r.slots[slot])
-	for _, e := range r.cses.HeldIn(class, reg) {
-		if !e.Saved {
-			op, ok := r.g.cfg.SaveOp[e.Width]
-			if !ok {
-				return fmt.Errorf("no save opcode configured for %s common subexpressions", e.Width)
+		reg := int(r.slots[rp.slot])
+		for _, e := range r.cses.HeldIn(rp.class, reg) {
+			if !e.Saved {
+				op, ok := r.g.cfg.SaveOp[e.Width]
+				if !ok {
+					return fmt.Errorf("no save opcode configured for %s common subexpressions", e.Width)
+				}
+				opds := r.arena.alloc(2)
+				opds[0] = asm.R(reg)
+				opds[1] = asm.M(e.Mem.Disp, 0, e.Mem.Base)
+				r.emit(asm.Instr{Op: op, Opds: opds,
+					Comment: fmt.Sprintf("save cse %d before r%d changes", e.ID, reg)})
+				e.Saved = true
 			}
-			opds := r.arena.alloc(2)
-			opds[0] = asm.R(reg)
-			opds[1] = asm.M(e.Mem.Disp, 0, e.Mem.Base)
-			r.emit(asm.Instr{Op: op, Opds: opds,
-				Comment: fmt.Sprintf("save cse %d before r%d changes", e.ID, reg)})
-			e.Saved = true
+			// The register carried the CSE's outstanding uses; they move
+			// to the memory home.
+			r.ra.IncUse(rp.class, reg, -e.Uses)
+			r.cses.Invalidate(e)
 		}
-		// The register carried the CSE's outstanding uses; they move
-		// to the memory home.
-		r.ra.IncUse(class, reg, -e.Uses)
-		r.cses.Invalidate(e)
+		r.ra.Touch(rp.class, reg)
 	}
-	r.ra.Touch(class, reg)
-	return nil
-}
-
-// ibmLength rebinds a terminal's slot to the IBM SS encoding: a length
-// of n is encoded as n-1, so subsequent templates see the encoded
-// value.
-func (r *run) ibmLength(slot int32) error {
-	v := r.slots[slot]
-	if v < 1 || v > 256 {
-		return fmt.Errorf("IBM_length of %d is outside 1..256", v)
-	}
-	r.slots[slot] = v - 1
 	return nil
 }
 
@@ -231,52 +217,24 @@ func (r *run) semPushHalf(st *tmplStep, odd bool) error {
 	if err != nil {
 		return err
 	}
-	return r.pushHalf(rp.class, r.gr.SymName(rp.ref.Sym), rp.ref.Tag, rp.slot, odd)
-}
-
-// pushHalf is the push_odd/push_even core for a reference already
-// resolved to (class, slot); symName and tag serve the error message.
-func (r *run) pushHalf(class, symName string, tag int, slot int32, odd bool) error {
-	if !r.g.pairClass[class] {
+	if !r.g.pairClass[rp.class] {
 		return fmt.Errorf("push half of %s.%d: class %q is not an even/odd pair class",
-			symName, tag, class)
+			r.gr.SymName(rp.ref.Sym), rp.ref.Tag, rp.class)
 	}
-	even := int(r.slots[slot])
-	under := r.underClassName(class)
+	even := int(r.slots[rp.slot])
+	under := r.underClassName(rp.class)
 	var kept int
-	var err error
 	if odd {
-		kept, err = r.ra.ConvertOdd(class, even)
+		kept, err = r.ra.ConvertOdd(rp.class, even)
 	} else {
-		kept, err = r.ra.ConvertEven(class, even)
+		kept, err = r.ra.ConvertEven(rp.class, even)
 	}
 	if err != nil {
 		return err
 	}
-	r.allocMark[slot] = false
+	r.allocMark[rp.slot] = false
 	r.pushed = append(r.pushed, ir.Token{Sym: under, Val: int64(kept)})
 	return nil
-}
-
-// defineLabelHere binds label v to the next instruction index.
-func (r *run) defineLabelHere(v int64) error {
-	return r.prog.DefineLabel(v, len(r.prog.Instrs))
-}
-
-// addrConst emits the label_pntr address-constant pseudo-instruction.
-func (r *run) addrConst(v int64) {
-	r.emit(asm.Instr{Pseudo: asm.AddrConst, Label: v})
-}
-
-// abortAt records an abort call site before the next instruction.
-func (r *run) abortAt(v int64) {
-	r.prog.AbortSites[len(r.prog.Instrs)] = v
-}
-
-// listRequest records a list_request argument before the next
-// instruction.
-func (r *run) listRequest(v int64) {
-	r.prog.CallArgs[len(r.prog.Instrs)] = v
 }
 
 func (r *run) underClassName(pair string) string {
@@ -296,9 +254,13 @@ func (r *run) semLoadOdd(st *tmplStep) error {
 	if err != nil {
 		return err
 	}
-	op, err := r.loadOddOp(st.name, rp.class, r.gr.SymName(rp.ref.Sym), rp.ref.Tag)
-	if err != nil {
-		return err
+	if !r.g.pairClass[rp.class] {
+		return fmt.Errorf("%s: %s.%d is not an even/odd pair", st.name, r.gr.SymName(rp.ref.Sym), rp.ref.Tag)
+	}
+	odd := int(r.slots[rp.slot]) + 1
+	op, ok := r.g.cfg.LoadOddOps[st.name]
+	if !ok {
+		return fmt.Errorf("no opcode configured for %s", st.name)
 	}
 	if len(st.opds) != 2 {
 		return fmt.Errorf("%s expects a pair and one source operand", st.name)
@@ -307,31 +269,11 @@ func (r *run) semLoadOdd(st *tmplStep) error {
 	if err != nil {
 		return err
 	}
-	r.emitLoadOdd(op, rp.slot, src)
-	return nil
-}
-
-// loadOddOp validates a load_odd_* pair reference and resolves the
-// configured opcode, in the interpreter's check order.
-func (r *run) loadOddOp(name, class, symName string, tag int) (string, error) {
-	if !r.g.pairClass[class] {
-		return "", fmt.Errorf("%s: %s.%d is not an even/odd pair", name, symName, tag)
-	}
-	op, ok := r.g.cfg.LoadOddOps[name]
-	if !ok {
-		return "", fmt.Errorf("no opcode configured for %s", name)
-	}
-	return op, nil
-}
-
-// emitLoadOdd fills the odd half of the pair whose even register is
-// bound in slot.
-func (r *run) emitLoadOdd(op string, slot int32, src asm.Operand) {
-	odd := int(r.slots[slot]) + 1
 	opds := r.arena.alloc(2)
 	opds[0] = asm.R(odd)
 	opds[1] = src
 	r.emit(asm.Instr{Op: op, Opds: opds})
+	return nil
 }
 
 // semBranch enters a branch instruction and its target into the
@@ -357,15 +299,9 @@ func (r *run) semBranch(st *tmplStep, indexed bool) error {
 	if indexed {
 		return fmt.Errorf("branch_indexed is expressed through case_load in this implementation")
 	}
-	r.emitBranch(cond, label, scratch.slot)
-	return nil
-}
-
-// emitBranch enters the branch pseudo-instruction with its scratch
-// register, for layout to bind after all code has been generated.
-func (r *run) emitBranch(cond, label int64, scratchSlot int32) {
 	r.emit(asm.Instr{Pseudo: asm.Branch, Cond: cond, Label: label,
-		Scratch: int(r.slots[scratchSlot])})
+		Scratch: int(r.slots[scratch.slot])})
+	return nil
 }
 
 // semSkip emits a forward branch over the next n instructions of the same
@@ -390,18 +326,12 @@ func (r *run) semSkip(st *tmplStep) error {
 	if err != nil {
 		return err
 	}
-	r.emitSkip(cond, count, scratch.slot)
-	return nil
-}
-
-// emitSkip emits the forward branch of a skip and registers its pending
-// label; count must already be validated to 1..8.
-func (r *run) emitSkip(cond, count int64, scratchSlot int32) {
 	label := r.nextAutoLabel()
 	r.emit(asm.Instr{Pseudo: asm.Branch, Cond: cond, Label: label,
-		Scratch: int(r.slots[scratchSlot]),
+		Scratch: int(r.slots[scratch.slot]),
 		Comment: skipComments[count]})
 	r.pendingSkips = append(r.pendingSkips, pendingSkip{label: label, remaining: count})
+	return nil
 }
 
 // semCaseLoad emits the branch-table dispatch: load the table address
@@ -423,18 +353,12 @@ func (r *run) semCaseLoad(st *tmplStep) error {
 	if err != nil {
 		return err
 	}
-	r.emitCaseLoad(label, index.slot, scratch.slot)
-	return nil
-}
-
-// emitCaseLoad emits the case_load pseudo-instruction and enters its
-// branch-table label into the literal pool.
-func (r *run) emitCaseLoad(label int64, indexSlot, scratchSlot int32) {
 	in := asm.Instr{Pseudo: asm.CaseLoad, Label: label,
-		IndexR:  int(r.slots[indexSlot]),
-		Scratch: int(r.slots[scratchSlot])}
+		IndexR:  int(r.slots[index.slot]),
+		Scratch: int(r.slots[scratch.slot])}
 	ix := r.emit(in)
 	r.prog.Instrs[ix].PoolIx = r.prog.AddPoolLabel(label)
+	return nil
 }
 
 // semCommon establishes a common subexpression: its number, use count,
@@ -467,20 +391,14 @@ func (r *run) semCommon(st *tmplStep, w cse.Width) error {
 	if regRef.class == "" {
 		return fmt.Errorf("common register operand %s.%d is not a register", r.gr.SymName(regRef.ref.Sym), regRef.ref.Tag)
 	}
-	return r.defineCommon(id, count, regRef.class, regRef.slot, disp, base, w)
-}
-
-// defineCommon is the *_common core: establish the CSE's register home
-// and transfer its outstanding uses onto the register.
-func (r *run) defineCommon(id, count int64, class string, regSlot int32, disp, base int64, w cse.Width) error {
-	reg := int(r.slots[regSlot])
-	if _, err := r.cses.Define(id, int(count), class, reg,
+	reg := int(r.slots[regRef.slot])
+	if _, err := r.cses.Define(id, int(count), regRef.class, reg,
 		cse.Home{Disp: disp, Base: int(base)}, w); err != nil {
 		return err
 	}
 	// The register home carries the outstanding uses in addition to the
 	// use the production itself consumes.
-	r.ra.IncUse(class, reg, int(count))
+	r.ra.IncUse(regRef.class, reg, int(count))
 	return nil
 }
 
@@ -500,13 +418,6 @@ func (r *run) semFindCommon(st *tmplStep) error {
 	if err != nil {
 		return err
 	}
-	return r.findCommon(id, destRef.class, destRef.slot)
-}
-
-// findCommon is the find_common core: release the unneeded destination
-// register and prefix either the CSE's register home or its reload
-// address to the input stream.
-func (r *run) findCommon(id int64, destClass string, destSlot int32) error {
 	entry, _, err := r.cses.Use(id)
 	if err != nil {
 		return err
@@ -514,9 +425,9 @@ func (r *run) findCommon(id int64, destClass string, destSlot int32) error {
 	// The destination register the production allocated is not needed:
 	// either the value is already in a register or the reload goes
 	// through the ordinary productions. Release it.
-	if r.allocMark[destSlot] {
-		r.ra.DecUse(destClass, int(r.slots[destSlot]))
-		r.allocMark[destSlot] = false
+	if r.allocMark[destRef.slot] {
+		r.ra.DecUse(destRef.class, int(r.slots[destRef.slot]))
+		r.allocMark[destRef.slot] = false
 	}
 	if entry.InRegister() {
 		r.pushed = append(r.pushed, ir.Token{Sym: entry.Class, Val: int64(entry.Reg)})
@@ -542,9 +453,13 @@ func (r *run) semExtended(st *tmplStep) error {
 	if err != nil {
 		return err
 	}
+	freg := int(r.slots[rp.slot])
 	switch st.op {
 	case semClearExtended:
-		r.clearExtended(rp.slot)
+		opds := r.arena.alloc(2)
+		opds[0] = asm.R(freg)
+		opds[1] = asm.R(freg)
+		r.emit(asm.Instr{Op: "sxr", Opds: opds, Comment: "zero extended register"})
 		return nil
 	case semLoadExtended, semStoreExtended:
 		if len(st.opds) != 2 {
@@ -557,38 +472,22 @@ func (r *run) semExtended(st *tmplStep) error {
 		if mem.Kind != asm.Mem {
 			return fmt.Errorf("%s needs a storage operand", st.name)
 		}
-		r.extendedLS(st.op == semStoreExtended, rp.slot, mem)
+		op := "ld"
+		if st.op == semStoreExtended {
+			op = "std"
+		}
+		hi := mem
+		lo := mem
+		lo.Val += 8
+		opds := r.arena.alloc(2)
+		opds[0] = asm.R(freg)
+		opds[1] = hi
+		r.emit(asm.Instr{Op: op, Opds: opds})
+		opds = r.arena.alloc(2)
+		opds[0] = asm.R(freg + 2)
+		opds[1] = lo
+		r.emit(asm.Instr{Op: op, Opds: opds})
 		return nil
 	}
 	return fmt.Errorf("extended operator %q is not implemented", st.name)
-}
-
-// clearExtended zeroes the extended register pair bound in slot.
-func (r *run) clearExtended(slot int32) {
-	freg := int(r.slots[slot])
-	opds := r.arena.alloc(2)
-	opds[0] = asm.R(freg)
-	opds[1] = asm.R(freg)
-	r.emit(asm.Instr{Op: "sxr", Opds: opds, Comment: "zero extended register"})
-}
-
-// extendedLS emits the fullword-pair load/store sequence of
-// load_extended/store_extended; mem must be a storage operand.
-func (r *run) extendedLS(store bool, slot int32, mem asm.Operand) {
-	freg := int(r.slots[slot])
-	op := "ld"
-	if store {
-		op = "std"
-	}
-	hi := mem
-	lo := mem
-	lo.Val += 8
-	opds := r.arena.alloc(2)
-	opds[0] = asm.R(freg)
-	opds[1] = hi
-	r.emit(asm.Instr{Op: op, Opds: opds})
-	opds = r.arena.alloc(2)
-	opds[0] = asm.R(freg + 2)
-	opds[1] = lo
-	r.emit(asm.Instr{Op: op, Opds: opds})
 }

@@ -39,44 +39,11 @@ type Target struct {
 	Mod     *tables.Module
 	Gen     *codegen.Generator
 	Machine asm.Machine
-
-	// Engine, when non-nil, overrides Gen for translation: an emitted
-	// (generated-code) engine attached via AttachEmitted. Derivation
-	// recording stays on Gen — provenance is an interpreter-only feature
-	// (Explain ignores Engine), so attaching an engine never changes
-	// what `cogg explain` reports.
-	Engine codegen.Engine
 }
 
-// Translator returns the engine translations run on: the attached
-// emitted engine when one is present, the interpreted generator
-// otherwise. Both produce byte-identical programs and identical
-// structured errors for the same specification and configuration.
-func (t *Target) Translator() codegen.Engine {
-	if t.Engine != nil {
-		return t.Engine
-	}
-	return t.Gen
-}
-
-// AttachEmitted looks up a generated engine registered for specName
-// (see codegen.RegisterEmitted), verifies it was emitted from exactly
-// this specification source, and attaches it to the target. It reports
-// whether an engine was attached: false with a nil error means no
-// matching engine is compiled in (or the registered one was generated
-// from different source) and the target stays on the interpreter.
-func (t *Target) AttachEmitted(specName, specSrc string, cfg codegen.Config) (bool, error) {
-	e, ok := codegen.EmittedFor(specName)
-	if !ok || !e.Matches([]byte(specSrc)) {
-		return false, nil
-	}
-	eng, err := e.New(cfg)
-	if err != nil {
-		return false, err
-	}
-	t.Engine = eng
-	return true, nil
-}
+// Translator returns t.Gen. The serving benchmark's layer replayer
+// (perfbench) is its only caller; code in this module uses t.Gen.
+func (t *Target) Translator() *codegen.Generator { return t.Gen }
 
 // NewTarget runs CoGG over a specification and instantiates the
 // generated code generator with the standard S/370 configuration.
@@ -182,7 +149,7 @@ func (t *Target) CompileShaped(prog *pascal.Program, shaped *shaper.Shaped) (*Co
 // CompileShapedCtx is CompileShaped with a context (see CompileCtx).
 func (t *Target) CompileShapedCtx(ctx context.Context, prog *pascal.Program, shaped *shaper.Shaped) (*Compiled, error) {
 	toks := shaped.Linearize()
-	asmProg, res, err := t.Translator().GenerateCtx(ctx, shaped.Name, toks)
+	asmProg, res, err := t.Gen.GenerateCtx(ctx, shaped.Name, toks)
 	if err != nil {
 		return nil, err
 	}

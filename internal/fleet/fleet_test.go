@@ -7,7 +7,7 @@ import (
 )
 
 // The breaker state machine is exercised end to end by the cluster
-// package's suite (which aliases this implementation); these tests pin
+// package's suite (which uses this implementation directly); these tests pin
 // the fleet-level contract points.
 
 func TestBreakerDefaults(t *testing.T) {

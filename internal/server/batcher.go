@@ -241,7 +241,7 @@ func (t *modTarget) translate(u batch.IFUnit) batch.IFResult {
 // the batch service's stock translator, minus the per-call session
 // build. The returned listing is a fresh string; nothing in the result
 // aliases session storage, so the session may be reused immediately.
-func translateSession(t *modTarget, ses codegen.EngineSession, u batch.IFUnit) batch.IFResult {
+func translateSession(t *modTarget, ses *codegen.Session, u batch.IFUnit) batch.IFResult {
 	toks, err := ir.ParseTokens(u.Text)
 	if err != nil {
 		return batch.IFResult{Name: u.Name, Err: err}

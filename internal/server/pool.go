@@ -7,10 +7,8 @@ import (
 )
 
 // sessionPool keeps a bounded free list of reusable translation
-// sessions for one engine — the interpreted generator or an emitted
-// (generated-code) engine, whichever the target serves — so
-// steady-state requests reuse the session's buffers and the emission
-// hot path stays allocation-free.
+// sessions for one generator, so steady-state requests reuse the
+// session's buffers and the emission hot path stays allocation-free.
 //
 // Hygiene rule: a session whose translation failed — a blocked parse, a
 // resource limit, or a panic recovered by the batch envelope — is never
@@ -22,8 +20,8 @@ import (
 // by a timeout is likewise never re-pooled: the put for it only happens
 // after its goroutine finishes, and only if it finished cleanly.
 type sessionPool struct {
-	eng  codegen.Engine
-	free chan codegen.EngineSession
+	gen  *codegen.Generator
+	free chan *codegen.Session
 
 	// Counters for /varz: fresh sessions built, sessions reused from
 	// the free list, and sessions discarded (failed, or pool full).
@@ -32,29 +30,29 @@ type sessionPool struct {
 	discarded atomic.Int64
 }
 
-func newSessionPool(eng codegen.Engine, size int) *sessionPool {
+func newSessionPool(gen *codegen.Generator, size int) *sessionPool {
 	if size < 1 {
 		size = 1
 	}
-	return &sessionPool{eng: eng, free: make(chan codegen.EngineSession, size)}
+	return &sessionPool{gen: gen, free: make(chan *codegen.Session, size)}
 }
 
 // get pops a pooled session or builds a fresh one.
-func (p *sessionPool) get() (codegen.EngineSession, error) {
+func (p *sessionPool) get() (*codegen.Session, error) {
 	select {
 	case s := <-p.free:
 		p.reused.Add(1)
 		return s, nil
 	default:
 		p.created.Add(1)
-		return p.eng.NewEngineSession()
+		return p.gen.NewSession()
 	}
 }
 
 // put returns a session after one translation. err is the translation's
 // outcome: any failure discards the session (see the type comment); a
 // clean session goes back on the free list unless the list is full.
-func (p *sessionPool) put(s codegen.EngineSession, err error) {
+func (p *sessionPool) put(s *codegen.Session, err error) {
 	if err != nil {
 		p.discarded.Add(1)
 		return

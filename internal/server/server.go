@@ -79,13 +79,6 @@ type Options struct {
 	SpecSrc  string
 	// Risc applies the risc32 target configuration to the default spec.
 	Risc bool
-	// Engine selects the translation engine per served spec:
-	// "" or "interpreted" runs the table interpreter, "auto" serves a
-	// compiled-in emitted engine (cogg emit-go output) when one matches
-	// the specification, "emitted" requires one (target construction
-	// fails otherwise). Output is byte-identical either way; `cogg
-	// explain` provenance remains interpreter-only regardless.
-	Engine string
 
 	// Workers bounds the batch worker pool; <= 0 means GOMAXPROCS.
 	Workers int
@@ -329,7 +322,6 @@ func New(opts Options) (*Server, error) {
 			CacheDir:    opts.CacheDir,
 			Blob:        full,
 			UnitTimeout: opts.DefaultDeadline,
-			Engine:      opts.Engine,
 		}),
 		artifacts:     local,
 		blobStore:     full,
@@ -471,7 +463,7 @@ func (s *Server) target(spec string) (*modTarget, error) {
 		return nil, err
 	}
 	mt := &modTarget{specName: name, key: batch.Key(name, src), tgt: tgt,
-		pool:   newSessionPool(tgt.Translator(), s.opts.PoolSize),
+		pool:   newSessionPool(tgt.Gen, s.opts.PoolSize),
 		oracle: oracle.New(tgt.Mod)}
 	s.targets[name] = mt
 	s.registerPoolMetrics(mt)
