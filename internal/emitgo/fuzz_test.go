@@ -1,4 +1,9 @@
-package codegen_test
+// Package emitgo_test holds the engine-differential fuzz target. The
+// emitted engine this package once generated was retired (DESIGN §15);
+// the target now pits the two ways the one interpreted engine is driven
+// against each other: a fresh translation per input, and one long-lived
+// engine session as the daemon's session pool holds it.
+package emitgo_test
 
 import (
 	"fmt"
@@ -7,11 +12,10 @@ import (
 
 	"cogg/internal/asm"
 	"cogg/internal/codegen"
-	"cogg/internal/core"
+	"cogg/internal/driver"
 	"cogg/internal/ir"
 	"cogg/internal/labels"
 	"cogg/internal/oracle"
-	"cogg/internal/rt370"
 	"cogg/specs"
 )
 
@@ -47,24 +51,20 @@ func sameTranslation(a, b translation) bool {
 	return a.listing == b.listing && slices.Equal(a.counts, b.counts)
 }
 
-// FuzzSessionReuse pins the session-reuse contract the daemon's session
-// pool relies on: any IF stream — well-formed, truncated, or garbage —
-// translated on one long-lived Session must produce exactly what a fresh
-// session (Generator.Generate) produces, whatever ran on the reused
-// session before. The seeds are ifsynth-generated program bodies plus
-// handcrafted malformed shapes, so mutation starts from inputs that
-// reach deep into the grammar.
-func FuzzSessionReuse(f *testing.F) {
-	cg, err := core.Generate("amdahl470.cogg", specs.Amdahl470)
+// FuzzEngineDifferential is the engine-equivalence fuzz target: any IF
+// stream — well-formed, truncated, or garbage — must produce either
+// byte-identical listings and production counts or identical structured
+// errors from a fresh translation (Generator.Generate) and from one
+// long-lived engine session, whatever that session translated before.
+// The seeds are ifsynth-generated program bodies plus handcrafted
+// malformed shapes, so mutation starts from inputs that reach deep into
+// the grammar.
+func FuzzEngineDifferential(f *testing.F) {
+	tgt, err := driver.NewTarget("amdahl470.cogg", specs.Amdahl470)
 	if err != nil {
 		f.Fatal(err)
 	}
-	cfg := rt370.Config()
-	gen, err := cg.NewGenerator(cfg)
-	if err != nil {
-		f.Fatal(err)
-	}
-	ses, err := gen.NewSession()
+	ses, err := tgt.Gen.NewEngineSession()
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func FuzzSessionReuse(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	c, err := oracle.Generate(oracle.New(cg.Module()), 42, 16, oracle.CorpusOptions{
+	c, err := oracle.Generate(oracle.New(tgt.Mod), 42, 16, oracle.CorpusOptions{
 		Walk: oracle.WalkConfig{Priming: prime},
 	})
 	if err != nil {
@@ -98,12 +98,12 @@ func FuzzSessionReuse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		prog, res, err := gen.Generate("fuzz", toks)
-		fresh := render(cfg.Machine, prog, res, err)
+		prog, res, err := tgt.Gen.Generate("fuzz", toks)
+		fresh := render(tgt.Machine, prog, res, err)
 		prog, res, err = ses.Generate("fuzz", toks)
-		reused := render(cfg.Machine, prog, res, err)
+		reused := render(tgt.Machine, prog, res, err)
 		if !sameTranslation(fresh, reused) {
-			t.Fatalf("reused session diverged from a fresh one on %q:\nfresh:  %v\n%s\nreused: %v\n%s",
+			t.Fatalf("reused engine session diverged from a fresh translation on %q:\nfresh:  %v\n%s\nreused: %v\n%s",
 				text, fresh.err, fresh.listing, reused.err, reused.listing)
 		}
 	})
