@@ -41,7 +41,7 @@
 // Endpoints: POST /v1/compile, POST /v1/batch, GET /healthz (liveness,
 // always 200), /readyz (readiness: 503 with Retry-After while
 // draining), /varz, /metrics (Prometheus text exposition), /v1/traces
-// (recent span trees), /debug/vars, and (with -pprof) /debug/pprof.
+// (recent span trees), and (with -pprof) /debug/pprof.
 // The bound listen address is logged at startup. On SIGTERM or SIGINT
 // the daemon stops admitting work (readyz turns 503 so fleet fronts
 // route around it; healthz stays 200 so supervisors don't restart a

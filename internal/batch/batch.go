@@ -43,6 +43,7 @@ import (
 	"cogg/internal/codegen"
 	"cogg/internal/core"
 	"cogg/internal/driver"
+	"cogg/internal/fleet"
 	"cogg/internal/ir"
 	"cogg/internal/labels"
 	"cogg/internal/obs"
@@ -104,16 +105,9 @@ type Service struct {
 	backoff time.Duration
 	measure bool
 
-	// inflight collapses concurrent requests for the same key into one
-	// table construction (or one disk decode).
-	mu       sync.Mutex
-	inflight map[string]*call
-}
-
-type call struct {
-	done chan struct{}
-	mod  *tables.Module
-	err  error
+	// builds collapses concurrent requests for the same key into one
+	// table construction (or one store read and decode).
+	builds fleet.Group[*tables.Module]
 }
 
 // New builds a Service. The cache directory is created lazily on the
@@ -140,7 +134,6 @@ func New(opts Options) *Service {
 		retries:  opts.Retries,
 		backoff:  backoff,
 		measure:  opts.MeasureAllocs,
-		inflight: map[string]*call{},
 	}
 	if s.store == nil && opts.CacheDir != "" {
 		// The classic configuration: a plain disk store under CacheDir.
@@ -175,27 +168,15 @@ func (s *Service) ModuleCtx(ctx context.Context, specName, specSrc string) (*tab
 		return mod, nil
 	}
 
-	s.mu.Lock()
-	if c, ok := s.inflight[key]; ok {
-		s.mu.Unlock()
-		<-c.done
-		if c.err == nil {
-			// Joining an in-flight construction is a memory-tier hit:
-			// the module was served without building or decoding.
-			s.Stats.MemHits.Add(1)
-		}
-		return c.mod, c.err
+	mod, err, shared := s.builds.Do(ctx, key, func(ctx context.Context) (*tables.Module, error) {
+		return s.moduleSlow(ctx, key, specName, specSrc)
+	})
+	if shared && err == nil {
+		// Joining an in-flight construction is a memory-tier hit: the
+		// module was served without building or decoding.
+		s.Stats.MemHits.Add(1)
 	}
-	c := &call{done: make(chan struct{})}
-	s.inflight[key] = c
-	s.mu.Unlock()
-
-	c.mod, c.err = s.moduleSlow(ctx, key, specName, specSrc)
-	s.mu.Lock()
-	delete(s.inflight, key)
-	s.mu.Unlock()
-	close(c.done)
-	return c.mod, c.err
+	return mod, err
 }
 
 // moduleSlow is the path below the in-memory tier.
@@ -230,7 +211,7 @@ func (s *Service) moduleSlow(ctx context.Context, key, specName, specSrc string)
 	// A failed cache write is degraded, not fatal: the module is in
 	// memory and every unit can proceed. Transient store faults retry
 	// with backoff first; a write that still fails is only counted.
-	if err := s.storeBlobRetry(ctx, key, specName, mod); err != nil {
+	if err := s.retry(ctx, func() error { return s.storeBlob(ctx, key, specName, mod) }); err != nil {
 		s.Stats.DiskWriteErrs.Add(1)
 	}
 	return mod, nil
@@ -272,9 +253,11 @@ type Unit struct {
 	Source string
 	Opt    shaper.Options
 	// Ctx, when non-nil, is threaded through the pipeline for this unit:
-	// its cancellation is not consulted (the service's own per-unit
-	// deadline governs), but a trace attached via obs.ContextWith
-	// collects the unit's phase spans.
+	// a trace attached via obs.ContextWith collects the unit's phase
+	// spans, and its end cuts short a transient-fault retry wait (the
+	// unit fails with the context's error rather than sleeping out its
+	// schedule). A running attempt is bounded by the service's own
+	// per-unit deadline, not by Ctx.
 	Ctx context.Context
 }
 
@@ -313,8 +296,9 @@ func (s *Service) CompileBatch(tgt *driver.Target, units []Unit) []Result {
 		var c *driver.Compiled
 		var err error
 		profiling.Phase("codegen", func() {
-			c, err = attempt(s, units[i].Name, func() (*driver.Compiled, error) {
-				return tgt.CompileCtx(ctxOf(units[i].Ctx), units[i].Name, units[i].Source, units[i].Opt)
+			ctx := ctxOf(units[i].Ctx)
+			c, err = attempt(ctx, s, units[i].Name, func() (*driver.Compiled, error) {
+				return tgt.CompileCtx(ctx, units[i].Name, units[i].Source, units[i].Opt)
 			})
 		})
 		s.meterEnd(m0)
@@ -377,7 +361,7 @@ func (s *Service) TranslateBatchWith(units []IFUnit, translate func(IFUnit) IFRe
 		var r IFResult
 		var err error
 		profiling.Phase("codegen", func() {
-			r, err = attempt(s, units[i].Name, func() (IFResult, error) {
+			r, err = attempt(ctxOf(units[i].Ctx), s, units[i].Name, func() (IFResult, error) {
 				r := translate(units[i])
 				return r, r.Err
 			})

@@ -133,22 +133,3 @@ func (s *Service) storeBlob(ctx context.Context, key, specName string, mod *tabl
 	}
 	return nil
 }
-
-// storeBlobRetry is storeBlob with the service's transient-fault retry
-// schedule. A backoff wait ends early with the context's error when ctx
-// is done.
-func (s *Service) storeBlobRetry(ctx context.Context, key, specName string, mod *tables.Module) error {
-	err := s.storeBlob(ctx, key, specName, mod)
-	for try := 0; err != nil && try < s.retries && transient(err); try++ {
-		s.Stats.Retries.Add(1)
-		t := time.NewTimer(s.backoff << try)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return ctx.Err()
-		case <-t.C:
-		}
-		err = s.storeBlob(ctx, key, specName, mod)
-	}
-	return err
-}

@@ -233,6 +233,30 @@ func TestCacheWriteRetryHonorsCancel(t *testing.T) {
 	}
 }
 
+// TestUnitRetryHonorsCancel: a unit failing with a transient fault backs
+// off before retrying, but the unit's context ends the wait: the unit
+// fails with its deadline instead of sleeping out its retry schedule.
+func TestUnitRetryHonorsCancel(t *testing.T) {
+	const backoff = time.Second
+	svc := batch.New(batch.Options{Retries: 3, RetryBackoff: backoff})
+	tgt := minimalTarget(t, svc)
+	defer faultinject.Reset()
+	faultinject.Set(faultinject.Rule{Site: "batch/unit", Kind: faultinject.KindError, Class: "io"})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	units := chaosUnits(1)
+	units[0].Ctx = ctx
+	start := time.Now()
+	res := svc.CompileBatch(tgt, units)[0]
+	if d := time.Since(start); d >= backoff/4 {
+		t.Errorf("CompileBatch returned after %v; want well within one %v backoff quantum", d, backoff)
+	}
+	if res.Mode != batch.FailTimeout {
+		t.Errorf("mode = %v (%v), want %v", res.Mode, res.Err, batch.FailTimeout)
+	}
+}
+
 // TestCacheRenameFaultLeavesNoDebris: a fault at the atomic-rename step
 // degrades like any write fault and must not leave temporary files.
 func TestCacheRenameFaultLeavesNoDebris(t *testing.T) {

@@ -7,10 +7,10 @@ import (
 	"io"
 	"io/fs"
 	"runtime/debug"
-	"time"
 
 	"cogg/internal/codegen"
 	"cogg/internal/faultinject"
+	"cogg/internal/fleet"
 )
 
 // FailureMode classifies why a compilation unit failed — the taxonomy
@@ -150,14 +150,31 @@ func protected[T any](s *Service, name string, f func() (T, error)) (T, error) {
 	}
 }
 
-// attempt runs protected work with bounded retry-with-backoff for
-// transient faults. Deterministic failures return immediately.
-func attempt[T any](s *Service, name string, f func() (T, error)) (T, error) {
-	v, err := protected(s, name, f)
+// attempt runs protected work under the service's retry schedule (see
+// retry); ctx is the unit's, so a canceled unit stops retrying at once.
+func attempt[T any](ctx context.Context, s *Service, name string, f func() (T, error)) (T, error) {
+	var v T
+	err := s.retry(ctx, func() error {
+		var err error
+		v, err = protected(s, name, f)
+		return err
+	})
+	return v, err
+}
+
+// retry runs op and retries it while it fails with a transient fault, up
+// to the service's retry budget, doubling the wait from RetryBackoff.
+// Local I/O sends no Retry-After and has no herd to spread, so the wait
+// is plain doubling without jitter. A wait ends with ctx's error as soon
+// as ctx ends. Deterministic failures return immediately.
+func (s *Service) retry(ctx context.Context, op func() error) error {
+	err := op()
 	for try := 0; err != nil && try < s.retries && transient(err); try++ {
 		s.Stats.Retries.Add(1)
-		time.Sleep(s.backoff << try)
-		v, err = protected(s, name, f)
+		if werr := fleet.Sleep(ctx, s.backoff<<try); werr != nil {
+			return fmt.Errorf("batch: retry abandoned: %w (last failure: %v)", werr, err)
+		}
+		err = op()
 	}
-	return v, err
+	return err
 }

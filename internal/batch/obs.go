@@ -9,8 +9,7 @@ import (
 // exposition time — no second set of counters, no update-path cost.
 // Registration is idempotent, so a server restarted against the same
 // registry (or two services sharing one) is safe; when two services
-// share a registry the last registered wins each series, matching the
-// expvar re-bind semantics of Stats.Publish.
+// share a registry the last registered wins each series.
 //
 // Series registered (all counters unless noted):
 //

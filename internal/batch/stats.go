@@ -1,19 +1,16 @@
 package batch
 
 import (
-	"encoding/json"
-	"expvar"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // Stats counts what the batch service did: cache traffic, where the time
 // went, and how much code came out. All counters are monotonic and
-// updated atomically, so a Stats may be read (Snapshot, String, or an
-// expvar poll) while compilations are in flight.
+// updated atomically, so a Stats may be read (Snapshot, String, or a
+// /metrics scrape) while compilations are in flight.
 type Stats struct {
 	// Cache traffic for table modules, by tier.
 	MemHits   atomic.Int64 // served from the in-memory LRU
@@ -189,46 +186,4 @@ func (s *Stats) String() string {
 			v.Retries, v.DiskWriteErrs, v.OrphansSwept)
 	}
 	return b.String()
-}
-
-// statsVar adapts a Stats to expvar.Var behind an atomic pointer, so a
-// later Publish under the same name can re-bind the registry entry to a
-// fresh Stats instead of tripping expvar's duplicate-name panic.
-type statsVar struct {
-	s atomic.Pointer[Stats]
-}
-
-func (v *statsVar) String() string {
-	b, err := json.Marshal(v.s.Load().Snapshot())
-	if err != nil {
-		return "{}"
-	}
-	return string(b)
-}
-
-// publishMu serializes Publish's check-then-register against the
-// process-wide expvar registry.
-var publishMu sync.Mutex
-
-// Publish registers the counters with the process-wide expvar registry
-// under the given name. expvar names live for the life of the process,
-// so a second Publish under the same name — two services in one
-// process, or a server restarted in tests — re-binds the existing entry
-// to this Stats rather than panicking. Publishing over a name some
-// other package registered reports an error.
-func (s *Stats) Publish(name string) error {
-	publishMu.Lock()
-	defer publishMu.Unlock()
-	if v := expvar.Get(name); v != nil {
-		sv, ok := v.(*statsVar)
-		if !ok {
-			return fmt.Errorf("batch: expvar name %q is already registered by another package", name)
-		}
-		sv.s.Store(s)
-		return nil
-	}
-	sv := &statsVar{}
-	sv.s.Store(s)
-	expvar.Publish(name, sv)
-	return nil
 }

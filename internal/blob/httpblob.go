@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"cogg/internal/faultinject"
@@ -66,20 +65,12 @@ type Remote struct {
 	peers []*remotePeer
 	hc    *http.Client
 	opts  RemoteOptions
-
-	mu       sync.Mutex
-	inflight map[string]*remoteCall
+	gets  fleet.Group[[]byte]
 }
 
 type remotePeer struct {
 	url string
 	br  *fleet.Breaker
-}
-
-type remoteCall struct {
-	done    chan struct{}
-	payload []byte
-	err     error
 }
 
 // NewRemote builds a Remote over the given peers.
@@ -106,7 +97,7 @@ func NewRemote(opts RemoteOptions) *Remote {
 	if hc == nil {
 		hc = &http.Client{}
 	}
-	r := &Remote{hc: hc, opts: opts, inflight: map[string]*remoteCall{}}
+	r := &Remote{hc: hc, opts: opts}
 	for _, u := range opts.Peers {
 		u = strings.TrimRight(strings.TrimSpace(u), "/")
 		if u == "" {
@@ -136,7 +127,7 @@ func (r *Remote) logf(format string, args ...any) {
 }
 
 // Get fetches one blob from the fleet. Concurrent Gets for the same key
-// collapse into one fetch.
+// collapse into one fetch (see fleet.Group for who waits for whom).
 func (r *Remote) Get(ctx context.Context, key string) ([]byte, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -144,26 +135,10 @@ func (r *Remote) Get(ctx context.Context, key string) ([]byte, error) {
 	if err := faultinject.Eval("blob/get", key); err != nil {
 		return nil, err
 	}
-	r.mu.Lock()
-	if c, ok := r.inflight[key]; ok {
-		r.mu.Unlock()
-		select {
-		case <-c.done:
-			return c.payload, c.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	c := &remoteCall{done: make(chan struct{})}
-	r.inflight[key] = c
-	r.mu.Unlock()
-
-	c.payload, c.err = r.getSlow(ctx, key)
-	r.mu.Lock()
-	delete(r.inflight, key)
-	r.mu.Unlock()
-	close(c.done)
-	return c.payload, c.err
+	payload, err, _ := r.gets.Do(ctx, key, func(ctx context.Context) ([]byte, error) {
+		return r.getSlow(ctx, key)
+	})
+	return payload, err
 }
 
 // getSlow is the uncollapsed fetch: peers in order, retries within each.
@@ -197,10 +172,8 @@ func (r *Remote) getFrom(ctx context.Context, p *remotePeer, key string) ([]byte
 	var lastErr error
 	for try := 0; try <= r.opts.Retries; try++ {
 		if try > 0 {
-			select {
-			case <-time.After(fleet.BackoffDelay(try-1, r.opts.BaseBackoff, r.opts.MaxBackoff, retryAfterOf(lastErr))):
-			case <-ctx.Done():
-				return nil, ctx.Err()
+			if err := fleet.Sleep(ctx, fleet.BackoffDelay(try-1, r.opts.BaseBackoff, r.opts.MaxBackoff, retryAfterOf(lastErr))); err != nil {
+				return nil, err
 			}
 		}
 		if !p.br.Allow() {

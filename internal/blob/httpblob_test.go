@@ -2,6 +2,7 @@ package blob
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -218,6 +219,57 @@ func TestRemoteSingleflight(t *testing.T) {
 	}
 	if got := gets.Load(); got != 1 {
 		t.Errorf("server saw %d GETs for one key, want 1", got)
+	}
+}
+
+// TestRemoteWaiterOutlivesLeaderCancel: when the caller leading a
+// collapsed fetch gives up, a caller waiting on the same key with a live
+// context must still get the payload, not the leader's cancellation.
+func TestRemoteWaiterOutlivesLeaderCancel(t *testing.T) {
+	payload := []byte("wanted by someone still waiting")
+	key := DigestParts("leader-cancel")
+	var gets atomic.Int64
+	first := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if gets.Add(1) == 1 {
+			close(first)
+			<-r.Context().Done() // slow peer: the first fetch never answers
+			return
+		}
+		w.Header().Set("ETag", ETagFor(Sum(payload)))
+		w.Write(payload)
+	}))
+	defer srv.Close()
+
+	r := fastRemote(srv.URL)
+	lctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := r.Get(lctx, key)
+		leaderErr <- err
+	}()
+	<-first
+	type result struct {
+		payload []byte
+		err     error
+	}
+	waiter := make(chan result, 1)
+	go func() {
+		got, err := r.Get(context.Background(), key)
+		waiter <- result{got, err}
+	}()
+	time.Sleep(50 * time.Millisecond) // let the waiter join the leader's fetch
+	cancel()
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Errorf("leader = %v, want context.Canceled", err)
+	}
+	res := <-waiter
+	if res.err != nil || !bytes.Equal(res.payload, payload) {
+		t.Fatalf("waiter = %q, %v; want the payload", res.payload, res.err)
+	}
+	if n := gets.Load(); n != 2 {
+		t.Errorf("peer saw %d GETs, want 2 (the canceled fetch and the waiter's own)", n)
 	}
 }
 

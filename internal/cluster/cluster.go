@@ -408,8 +408,8 @@ func (c *Client) do(ctx context.Context, path, key string, body []byte, hedge bo
 					tr.Annotate(pspan, "retry-after="+ar.retryAfter.String())
 				}
 			}
-			if !sleepCtx(ctx, c.backoff(try, ar.retryAfter)) {
-				return nil, ctx.Err()
+			if err := fleet.Sleep(ctx, fleet.BackoffDelay(try, c.opts.BaseBackoff, c.opts.MaxBackoff, ar.retryAfter)); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -486,22 +486,6 @@ func (c *Client) pick(order []*replica, start int, skip *replica) *replica {
 		}
 	}
 	return nil
-}
-
-// sleepCtx sleeps d unless ctx ends first; it reports whether the full
-// sleep happened.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }
 
 // ReplicaStatus is one replica's health snapshot for /varz.

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"sort"
 	"sync"
@@ -135,7 +134,7 @@ func (c *Client) send(ctx context.Context, rep *replica, path string, body []byt
 		},
 		rep:        rep,
 		retryable:  retryable,
-		retryAfter: parseRetryAfter(resp.Header),
+		retryAfter: fleet.ParseRetryAfter(resp.Header),
 	}
 }
 
@@ -262,26 +261,6 @@ func (c *Client) hedgeDelay() time.Duration {
 		return floor
 	}
 	return p
-}
-
-// backoff computes the sleep before retry number `try` (0-based):
-// exponential ceiling with full jitter, never below the server's
-// Retry-After when one was sent.
-func (c *Client) backoff(try int, retryAfter time.Duration) time.Duration {
-	ceil := c.opts.BaseBackoff << uint(try)
-	if ceil > c.opts.MaxBackoff || ceil <= 0 {
-		ceil = c.opts.MaxBackoff
-	}
-	d := time.Duration(rand.Int63n(int64(ceil) + 1))
-	if retryAfter > d {
-		d = retryAfter
-	}
-	return d
-}
-
-// parseRetryAfter delegates to the shared fleet-client implementation.
-func parseRetryAfter(h http.Header) time.Duration {
-	return fleet.ParseRetryAfter(h)
 }
 
 // latWindow is a sliding window of recent latencies for the adaptive

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -27,6 +28,24 @@ func BackoffDelay(try int, base, max, retryAfter time.Duration) time.Duration {
 		d = retryAfter
 	}
 	return d
+}
+
+// Sleep waits d unless ctx ends first. It returns ctx.Err() when the
+// context has ended, at once if it already had, and nil after the full
+// wait. Every retry in the serving stack waits here, so no backoff
+// outlives the request it serves.
+func Sleep(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return ctx.Err()
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // ParseRetryAfter reads a Retry-After header in delay-seconds form (the

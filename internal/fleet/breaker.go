@@ -1,10 +1,12 @@
-// Package fleet holds the client-side policy primitives shared by every
-// layer that talks to a cogd fleet: the per-replica circuit breaker and
-// the retry backoff schedule. internal/cluster (compile routing) and
-// internal/blob (artifact fetching) both build on these, so a replica
-// that trips its breaker for one kind of traffic is judged by the same
-// rules for the other — and so the two clients never drift apart in
-// retry rhythm.
+// Package fleet holds the retry and coalescing primitives shared by
+// every layer of the serving stack: the per-replica circuit breaker
+// (Breaker), the jittered retry schedule (BackoffDelay), the
+// context-aware wait (Sleep), and per-key call collapsing (Group).
+// internal/cluster (compile routing) and internal/blob (artifact
+// fetching) build on these, so a replica that trips its breaker for one
+// kind of traffic is judged by the same rules for the other, and the
+// two clients never drift apart in retry rhythm; internal/batch waits
+// out its local retries and collapses its table builds here too.
 package fleet
 
 import (

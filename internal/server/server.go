@@ -29,7 +29,6 @@
 //	GET  /varz         server, pool, and batch statistics as JSON
 //	GET  /metrics      Prometheus text exposition (see Registry)
 //	GET  /v1/traces    the last traces' span trees as JSON, newest first
-//	GET  /debug/vars   the expvar registry (includes the batch counters)
 //	GET  /debug/pprof  profiling handlers, when Options.EnablePprof
 //
 // Every request is traced: phase spans (queue-wait, then the pipeline's
@@ -44,7 +43,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"log/slog"
@@ -135,9 +133,6 @@ type Options struct {
 	// abandoned cursor is reclaimed without waiting for table traffic.
 	GrammarTTL time.Duration
 
-	// StatsName is the expvar name the batch counters publish under;
-	// empty means "cogd.batch".
-	StatsName string
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
 
@@ -198,9 +193,6 @@ func (o *Options) fill() {
 	}
 	if o.GrammarTTL <= 0 {
 		o.GrammarTTL = grammarTTL
-	}
-	if o.StatsName == "" {
-		o.StatsName = "cogd.batch"
 	}
 	if o.Registry == nil {
 		o.Registry = obs.NewRegistry()
@@ -342,9 +334,6 @@ func New(opts Options) (*Server, error) {
 		Threshold: opts.SLOTarget,
 		Objective: opts.SLOObjective,
 	})
-	if err := s.svc.Stats.Publish(opts.StatsName); err != nil {
-		return nil, err
-	}
 	s.svc.RegisterMetrics(s.reg)
 	s.registerServerMetrics()
 	s.registerGrammarMetrics()
@@ -504,7 +493,6 @@ func (s *Server) buildMux() {
 	mux.Handle("/v1/traces", s.instrument("/v1/traces", s.handleTraces))
 	mux.Handle(blob.ArtifactPathPrefix,
 		s.instrument("/v1/artifacts", s.traceArtifacts(blob.ArtifactHandler(s.artifacts, s.opts.MaxBodyBytes))))
-	mux.Handle("/debug/vars", expvar.Handler())
 	if s.opts.EnablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
