@@ -9,7 +9,8 @@
 //	E5 BenchmarkGrammarComplexitySweep   — section 5/6 size-control claim
 //	E6 BenchmarkComponentSizes           — section 6 lines-of-code claim
 //	E7 BenchmarkBranchRelaxation         — section 4.2 span-dependent branches
-//	E8 BenchmarkTableConstruction, BenchmarkCodeGenerationRate — throughput
+//	E8 BenchmarkTableConstruction, BenchmarkPack,
+//	   BenchmarkCodeGenerationRate       — throughput
 //	E9 BenchmarkCompressionAblation      — dense vs comb vs row-merged tables
 //	E10 BenchmarkBatchThroughput         — batch service: worker scaling,
 //	                                       cold vs. warm table-module cache
@@ -344,6 +345,20 @@ func BenchmarkTableConstruction(b *testing.B) {
 		if _, err := core.Generate("amdahl470.cogg", specs.Amdahl470); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPack isolates the comb packer inside table construction:
+// first-fit row displacement of the full Amdahl 470 action table.
+func BenchmarkPack(b *testing.B) {
+	cg, err := core.Generate("amdahl470.cogg", specs.Amdahl470)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tables.Pack(cg.Table)
 	}
 }
 

@@ -32,7 +32,7 @@ type RemoteOptions struct {
 	// Client is the HTTP client; nil uses a pooled default.
 	Client *http.Client
 	// AttemptTimeout bounds one HTTP attempt; <= 0 means 2s — artifact
-	// fetches race a ~20ms local rebuild, so a hanging peer must lose
+	// fetches race a ~11ms local rebuild, so a hanging peer must lose
 	// quickly.
 	AttemptTimeout time.Duration
 	// Retries is how many extra attempts a retryable failure (transport

@@ -186,7 +186,13 @@ func (g *Generator) compileProd(p *grammar.Prod) prodPlan {
 	// occurrences plus the up-front `using`/`need` allocations. Template
 	// references outside that set could never acquire a value and keep
 	// the unboundSlot marker.
+	//
+	// Plan slices are sized up front from their bounds, so building a
+	// plan never grows one.
 	slotOf := map[grammar.Ref]int32{}
+	nref := len(p.RHS) + len(p.Uses) + len(p.Needs)
+	pl.slotRef = make([]grammar.Ref, 0, nref)
+	pl.slotClass = make([]string, 0, nref)
 	addSlot := func(ref grammar.Ref) int32 {
 		if s, ok := slotOf[ref]; ok {
 			return s
@@ -207,6 +213,8 @@ func (g *Generator) compileProd(p *grammar.Prod) prodPlan {
 			pl.rhsSlot[i] = addSlot(grammar.Ref{Sym: sym, Tag: tag})
 		}
 	}
+	pl.uses = make([]allocStep, 0, len(p.Uses))
+	pl.needs = make([]allocStep, 0, len(p.Needs))
 	for _, ref := range p.Uses {
 		pl.uses = append(pl.uses, allocStep{slot: addSlot(ref), ref: ref, class: g.classOf(ref.Sym)})
 	}
@@ -247,9 +255,13 @@ func (g *Generator) compileProd(p *grammar.Prod) prodPlan {
 		return opdPlan{shape: opdBad, nsub: len(o.Sub)}
 	}
 
+	pl.steps = make([]tmplStep, 0, len(p.Templates))
 	for ti := range p.Templates {
 		t := &p.Templates[ti]
 		st := tmplStep{t: t, tix: ti, name: gr.SymName(t.Op)}
+		st.opds = make([]opdPlan, 0, len(t.Operands))
+		st.refs = make([]refPlan, 0, len(t.Operands))
+		st.vals = make([]valPlan, 0, len(t.Operands))
 		if t.Semantic {
 			st.op = semanticOps[st.name] // membership validated by New
 		} else {

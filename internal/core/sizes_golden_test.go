@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -14,19 +16,22 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with current
 
 // TestAmdahlSectionSizesGolden pins the serialized section sizes of the
 // full Amdahl 470 table module — the raw material of the paper's
-// Table 2 — to a golden file. Any change to the grammar, the table
-// construction, the comb packing, or the encoding shows up here as an
-// explicit diff to review (and to re-bless with -update), never as
-// silent size drift.
+// Table 2 — and the SHA-256 of the encoded module to a golden file. Any
+// change to the grammar, the table construction, the comb packing, or
+// the encoding shows up here as an explicit diff to review (and to
+// re-bless with -update), never as silent drift. The digest catches
+// what the sizes cannot: a placement that moves comb entries but keeps
+// the comb's length.
 func TestAmdahlSectionSizesGolden(t *testing.T) {
 	cg := generate(t, "amdahl470.cogg", specs.Amdahl470)
-	sz, err := cg.Sizes()
+	var buf bytes.Buffer
+	sz, err := cg.Encode(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := fmt.Sprintf(
-		"amdahl470.cogg table module section sizes (bytes)\nsymbols      %d\ntemplates    %d\ncompressed   %d\nuncompressed %d\ntotal        %d\n",
-		sz.Symbols, sz.Templates, sz.Compressed, sz.Uncompressed, sz.Total)
+		"amdahl470.cogg table module section sizes (bytes)\nsymbols      %d\ntemplates    %d\ncompressed   %d\nuncompressed %d\ntotal        %d\nsha256       %x\n",
+		sz.Symbols, sz.Templates, sz.Compressed, sz.Uncompressed, sz.Total, sha256.Sum256(buf.Bytes()))
 
 	golden := filepath.Join("testdata", "amdahl470_sizes.golden")
 	if *updateGolden {

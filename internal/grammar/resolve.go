@@ -95,6 +95,8 @@ func (g *Grammar) resolveProd(f *spec.File, sp *spec.Production) (*Prod, error) 
 	// Right side: operators (untagged), terminals and nonterminals (tagged).
 	// bound records the tagged occurrences available to template operands.
 	bound := map[Ref]bool{}
+	p.RHS = make([]int, 0, len(sp.RHS))
+	p.RHSTags = make([]int, 0, len(sp.RHS))
 	for _, r := range sp.RHS {
 		id, ok := g.byName[r.Name]
 		if !ok {
@@ -185,6 +187,7 @@ func (g *Grammar) resolveProd(f *spec.File, sp *spec.Production) (*Prod, error) 
 
 	// Second pass: resolve every template.
 	emitted := 0
+	p.Templates = make([]Template, 0, len(sp.Templates))
 	for _, t := range sp.Templates {
 		rt, err := g.resolveTemplate(f, sp, &t, bound)
 		if err != nil {
@@ -218,6 +221,7 @@ func (g *Grammar) resolveTemplate(f *spec.File, sp *spec.Production, t *spec.Tem
 			"template opcode %q is a %s; it must be a target opcode or a semantic operator",
 			t.Op, g.Syms[opID].Kind)
 	}
+	rt.Operands = make([]Operand, 0, len(t.Operands))
 	for _, o := range t.Operands {
 		ro, err := g.resolveOperand(f, sp, t, o, bound)
 		if err != nil {

@@ -30,8 +30,9 @@
 package lr
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cogg/internal/grammar"
 )
@@ -80,6 +81,8 @@ type Automaton struct {
 	ntStamp   []int32 // nonterminal -> epoch when last expanded
 	epoch     int32
 	maxRHS    int
+
+	closureBuf []Item // closure's working item list, reused across calls
 }
 
 // Build constructs the automaton for grammar g, first rejecting grammars
@@ -190,12 +193,13 @@ func (a *Automaton) computeFollow() {
 }
 
 // closure extends a kernel to its LR(0) closure. The membership and
-// expansion marks live in epoch-stamped arrays shared across calls, so a
-// closure costs no allocations beyond the returned item slice.
+// expansion marks live in epoch-stamped arrays shared across calls, and
+// the items are gathered in a shared buffer, so a closure costs one
+// exactly sized allocation: the returned item slice.
 func (a *Automaton) closure(kernel []Item) []Item {
 	a.epoch++
 	e := a.epoch
-	items := append(make([]Item, 0, len(kernel)*2), kernel...)
+	items := append(a.closureBuf[:0], kernel...)
 	for _, it := range items {
 		a.itemStamp[it.Prod*(a.maxRHS+1)+it.Dot] = e
 	}
@@ -218,16 +222,19 @@ func (a *Automaton) closure(kernel []Item) []Item {
 			}
 		}
 	}
+	a.closureBuf = items
 	sortItems(items)
-	return items
+	return append([]Item(nil), items...)
 }
 
+// sortItems orders items by (Prod, Dot), a total order on distinct
+// items, so the result does not depend on the sort's stability.
 func sortItems(items []Item) {
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].Prod != items[j].Prod {
-			return items[i].Prod < items[j].Prod
+	slices.SortFunc(items, func(x, y Item) int {
+		if c := cmp.Compare(x.Prod, y.Prod); c != 0 {
+			return c
 		}
-		return items[i].Dot < items[j].Dot
+		return cmp.Compare(x.Dot, y.Dot)
 	})
 }
 
@@ -272,6 +279,10 @@ func (a *Automaton) buildStates() {
 	sortItems(startKernel)
 
 	index := map[uint64][]int{} // kernel hash -> candidate state IDs
+	// Shift rows are carved from slabs of slabRows rows, filled with -1
+	// once per slab rather than allocated and filled per state.
+	const slabRows = 64
+	var slab []int32
 	add := func(kernel []Item) int {
 		h := kernelHash(kernel)
 		for _, id := range index[h] {
@@ -279,10 +290,14 @@ func (a *Automaton) buildStates() {
 				return id
 			}
 		}
-		shift := make([]int32, nsym)
-		for i := range shift {
-			shift[i] = -1
+		if len(slab) < nsym {
+			slab = make([]int32, slabRows*nsym)
+			for i := range slab {
+				slab[i] = -1
+			}
 		}
+		shift := slab[:nsym:nsym]
+		slab = slab[nsym:]
 		s := &State{
 			ID:     len(a.States),
 			Kernel: append([]Item(nil), kernel...),
@@ -322,7 +337,7 @@ func (a *Automaton) buildStates() {
 			}
 			moveOf[sym] = append(moveOf[sym], Item{Prod: it.Prod, Dot: it.Dot + 1})
 		}
-		sort.Ints(order)
+		slices.Sort(order)
 		for _, sym := range order {
 			kernel := moveOf[sym]
 			sortItems(kernel)

@@ -166,7 +166,7 @@ func (a *Automaton) MakeTable() *Table {
 	// state; candSyms lists the lookaheads touched, for resetting.
 	cands := make([][]int, a.NumSymbols())
 	candSeen := make([]bool, a.NumSymbols())
-	var candSyms []int
+	var candSyms, loserPool []int
 	for _, s := range a.States {
 		row := t.Row(s.ID)
 		for sym, next := range s.Shift {
@@ -207,12 +207,18 @@ func (a *Automaton) MakeTable() *Table {
 			best := a.bestReduce(cs)
 			row[col] = MkAction(Reduce, best)
 			if len(cs) > 1 {
-				losers := make([]int, 0, len(cs)-1)
+				// Reduce/reduce losers are carved from a shared pool
+				// rather than allocated per conflict.
+				if cap(loserPool)-len(loserPool) < len(cs)-1 {
+					loserPool = make([]int, 0, max(1024, len(cs)-1))
+				}
+				start := len(loserPool)
 				for _, c := range cs {
 					if c != best {
-						losers = append(losers, c)
+						loserPool = append(loserPool, c)
 					}
 				}
+				losers := loserPool[start:len(loserPool):len(loserPool)]
 				t.Conflicts = append(t.Conflicts, Conflict{
 					Kind: ReduceReduce, State: s.ID, Sym: sym,
 					Chosen: row[col], Losers: losers,

@@ -97,7 +97,7 @@ type Options struct {
 	BlobMemBytes   int64
 	// BlobAttemptTimeout bounds one artifact fetch attempt against a
 	// peer; <= 0 means 2s. Tests and latency-sensitive deployments
-	// shrink it — the fetch races a ~20ms local table construction.
+	// shrink it — the fetch races a ~11ms local table construction.
 	BlobAttemptTimeout time.Duration
 	// Logf receives operational lines (blob warm fetches); nil is
 	// silent.

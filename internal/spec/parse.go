@@ -318,8 +318,12 @@ func (p *parser) parseAtom(text string) (Atom, string, bool) {
 		return Atom{}, "", false
 	}
 	word, rest := text[:i], text[i:]
-	if v, err := strconv.ParseInt(word, 10, 64); err == nil {
-		return Atom{Kind: AtomNum, Num: v}, rest, true
+	// Only a word that starts with a digit can be a number; testing
+	// that first spares every name a failed ParseInt and its error.
+	if word[0] >= '0' && word[0] <= '9' {
+		if v, err := strconv.ParseInt(word, 10, 64); err == nil {
+			return Atom{Kind: AtomNum, Num: v}, rest, true
+		}
 	}
 	name, tagText, hasDot := strings.Cut(word, ".")
 	if !p.declared[name] {

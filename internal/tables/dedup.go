@@ -22,7 +22,9 @@ type PackedDedup struct {
 	Check     []int32 // owning unique row + 1
 }
 
-// PackDedup merges identical rows, then comb-packs the unique ones.
+// PackDedup merges identical rows, then comb-packs the unique ones with
+// the same first-fit placement as Pack. Unique row ids follow the first
+// state holding each row.
 func PackDedup(t *lr.Table) *PackedDedup {
 	p := &PackedDedup{
 		NumStates: t.NumStates,
@@ -30,85 +32,31 @@ func PackDedup(t *lr.Table) *PackedDedup {
 		ColOf:     append([]int32(nil), t.ColOf...),
 		RowOf:     make([]int32, t.NumStates),
 	}
-	// Identify unique rows.
+	// MakeTable leaves every error entry as the zero action, so two rows
+	// are identical exactly when their significant entries are.
 	index := map[string]int32{}
-	var uniques [][]lr.Action
-	for s := 0; s < t.NumStates; s++ {
-		row := t.Row(s)
-		key := rowKey(row)
+	var uniques []sigRow
+	for s, r := range sigRows(t.Rows(), t.NumStates, t.NumCols) {
+		key := rowKey(r)
 		id, ok := index[key]
 		if !ok {
 			id = int32(len(uniques))
 			index[key] = id
-			uniques = append(uniques, row)
+			r.id = int(id)
+			uniques = append(uniques, r)
 		}
 		p.RowOf[s] = id
 	}
-	p.Base = make([]int32, len(uniques))
-
-	// Comb-pack unique rows, densest first.
-	order := make([]int, len(uniques))
-	for i := range order {
-		order[i] = i
-	}
-	density := func(i int) int {
-		n := 0
-		for _, a := range uniques[i] {
-			if a.Kind() != lr.Error {
-				n++
-			}
-		}
-		return n
-	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && density(order[j]) > density(order[j-1]); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	grow := func(n int) {
-		for len(p.Data) < n {
-			p.Data = append(p.Data, 0)
-			p.Check = append(p.Check, 0)
-		}
-	}
-	for _, id := range order {
-		row := uniques[id]
-		var cols []int32
-		for c, a := range row {
-			if a.Kind() != lr.Error {
-				cols = append(cols, int32(c))
-			}
-		}
-		if len(cols) == 0 {
-			p.Base[id] = 0
-			continue
-		}
-		base := -cols[0]
-	search:
-		for ; ; base++ {
-			for _, c := range cols {
-				idx := int(base + c)
-				if idx < len(p.Check) && p.Check[idx] != 0 {
-					continue search
-				}
-			}
-			break
-		}
-		p.Base[id] = base
-		for _, c := range cols {
-			idx := int(base + c)
-			grow(idx + 1)
-			p.Data[idx] = row[c]
-			p.Check[idx] = int32(id) + 1
-		}
-	}
+	p.Base, p.Data, p.Check = packRows(uniques)
 	return p
 }
 
-func rowKey(row []lr.Action) string {
-	b := make([]byte, 0, len(row)*4)
-	for _, a := range row {
-		b = append(b, byte(a), byte(a>>8), byte(a>>16), byte(a>>24))
+func rowKey(r sigRow) string {
+	b := make([]byte, 0, len(r.cols)*8)
+	for i, c := range r.cols {
+		a := r.acts[i]
+		b = append(b, byte(c), byte(c>>8), byte(c>>16), byte(c>>24),
+			byte(a), byte(a>>8), byte(a>>16), byte(a>>24))
 	}
 	return string(b)
 }

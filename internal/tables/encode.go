@@ -297,6 +297,7 @@ func encodeProds(buf *bytes.Buffer, g *grammar.Grammar) {
 }
 
 func encodePacked(buf *bytes.Buffer, p *Packed) error {
+	buf.Grow(4*6 + 2*len(p.ColOf) + 4*len(p.Base) + 2*len(p.Data) + 2*len(p.Check))
 	putU32(buf, p.NumStates)
 	putU32(buf, p.NumCols)
 	putU32(buf, len(p.ColOf))

@@ -15,8 +15,9 @@
 package tables
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"cogg/internal/lr"
 )
@@ -38,145 +39,147 @@ type Packed struct {
 }
 
 // Pack compresses the action table by first-fit row displacement.
-// Rows are placed densest-first, which keeps the comb tight. Occupancy
-// during the first-fit search is tracked in a word-packed bitmap, so
-// skipping past a filled region costs one trailing-zero count per 64
-// slots rather than one check-array load per slot.
+// Rows are placed densest-first, which keeps the comb tight.
 func Pack(t *lr.Table) *Packed {
-	p := &Packed{
+	base, data, check := packRows(sigRows(t.Rows(), t.NumStates, t.NumCols))
+	return &Packed{
 		NumStates: t.NumStates,
 		NumCols:   t.NumCols,
 		ColOf:     append([]int32(nil), t.ColOf...),
-		Base:      make([]int32, t.NumStates),
+		Base:      base,
+		Data:      data,
+		Check:     check,
 	}
+}
 
-	// One pass over the dense matrix collects each row's significant
-	// entries — column and action together, backed by two shared arrays —
-	// so placement never rematerializes a dense row.
-	all := t.Rows()
+// sigRow is one row's significant entries: ascending columns and their
+// actions. id names the row's Base slot and, plus one, its Check mark.
+type sigRow struct {
+	id   int
+	cols []int32
+	acts []lr.Action
+}
+
+// sigRows collects the significant entries of a row-major dense matrix
+// in one pass, backed by two shared arrays, so placement never
+// rematerializes a dense row. Row i gets id i.
+func sigRows(dense []lr.Action, nrows, ncols int) []sigRow {
 	nsig := 0
-	for _, a := range all {
+	for _, a := range dense {
 		if a.Kind() != lr.Error {
 			nsig++
 		}
 	}
 	colBuf := make([]int32, 0, nsig)
 	actBuf := make([]lr.Action, 0, nsig)
-	type rowInfo struct {
-		state int
-		cols  []int32
-		acts  []lr.Action
-	}
-	rows := make([]rowInfo, 0, t.NumStates)
-	for s := 0; s < t.NumStates; s++ {
+	rows := make([]sigRow, nrows)
+	for i := range rows {
 		start := len(colBuf)
-		off := s * t.NumCols
-		for c := 0; c < t.NumCols; c++ {
-			if a := all[off+c]; a.Kind() != lr.Error {
+		for c, a := range dense[i*ncols : (i+1)*ncols] {
+			if a.Kind() != lr.Error {
 				colBuf = append(colBuf, int32(c))
 				actBuf = append(actBuf, a)
 			}
 		}
-		rows = append(rows, rowInfo{
-			state: s,
-			cols:  colBuf[start:len(colBuf):len(colBuf)],
-			acts:  actBuf[start:len(actBuf):len(actBuf)],
-		})
-	}
-	// Densest rows first, state id breaking ties: a total order, so the
-	// sorted sequence — and with it every placement — is deterministic.
-	sort.Slice(rows, func(i, j int) bool {
-		if len(rows[i].cols) != len(rows[j].cols) {
-			return len(rows[i].cols) > len(rows[j].cols)
+		rows[i] = sigRow{
+			id:   i,
+			cols: colBuf[start:len(colBuf):len(colBuf)],
+			acts: actBuf[start:len(actBuf):len(actBuf)],
 		}
-		return rows[i].state < rows[j].state
-	})
+	}
+	return rows
+}
 
-	// used marks occupied comb slots; bits beyond its length are free.
-	used := make([]uint64, 0, (nsig+63)/32)
-	var mask []uint64 // the row's occupancy pattern, relative to its first column
-	maxIdx := -1
+// packRows lays rows (ids 0..len(rows)-1) into one comb, reordering rows
+// in place. Rows go densest first, id breaking ties: a total order, so
+// the placement sequence is deterministic. Each row takes the first-fit
+// base: the lowest one at which its first column's slot is >= 0 and all
+// of its slots are free. An empty row gets base 0.
+func packRows(rows []sigRow) (base []int32, data []lr.Action, check []int32) {
+	slices.SortFunc(rows, func(a, b sigRow) int {
+		if c := cmp.Compare(len(b.cols), len(a.cols)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	base = make([]int32, len(rows))
+	nsig := 0
 	for _, r := range rows {
-		if len(r.cols) == 0 {
-			p.Base[r.state] = 0
+		nsig += len(r.cols)
+	}
+	// Room for a comb twice the entry count keeps the bitmap from
+	// growing on real tables.
+	cb := comb{used: make([]uint64, 0, nsig/32+4)}
+	for _, r := range rows {
+		if len(r.cols) > 0 {
+			base[r.id] = int32(cb.place(r.cols))
+		}
+	}
+	data = make([]lr.Action, cb.n)
+	check = make([]int32, cb.n)
+	for _, r := range rows {
+		b := int(base[r.id])
+		for i, c := range r.cols {
+			data[b+int(c)] = r.acts[i]
+			check[b+int(c)] = int32(r.id) + 1
+		}
+	}
+	return base, data, check
+}
+
+// comb is the occupancy of a row-displacement array under construction,
+// one bit per slot. Every word below lo is full; n is one past the
+// highest occupied slot.
+type comb struct {
+	used []uint64
+	lo   int
+	n    int
+}
+
+// place returns the first-fit base for a row with significant columns
+// cols (ascending, non-empty) and marks its slots occupied.
+//
+// The search tests 64 candidate start slots per step. For the block of
+// start slots 64w..64w+63, bit j of hit is set when start slot 64w+j
+// collides: it is the OR, over the row's offsets from its first column,
+// of the 64-slot occupancy window at that offset. The lowest zero bit
+// of hit is the first fit in the block. Blocks below lo are full and
+// cannot hold the first column, so the search starts there; the block
+// past the last occupied word always fits.
+func (cb *comb) place(cols []int32) int {
+	first := int(cols[0])
+	span := int(cols[len(cols)-1]) - first
+	// The search stops by block (n+63)/64, which is empty, and a window
+	// reads two words from its offset, so need words cover every read.
+	if need := (cb.n+63)>>6 + span>>6 + 2; len(cb.used) < need {
+		cb.used = append(cb.used, make([]uint64, need-len(cb.used))...)
+	}
+	used := cb.used
+	for w := cb.lo; ; w++ {
+		var hit uint64
+		for _, c := range cols {
+			rel := int(c) - first
+			i, b := w+rel>>6, uint(rel)&63
+			// A shift by 64 yields 0 in Go, so b == 0 needs no branch.
+			hit |= used[i]>>b | used[i+1]<<(64-b)
+			if hit == ^uint64(0) {
+				break
+			}
+		}
+		if hit == ^uint64(0) {
 			continue
 		}
-		first := int(r.cols[0])
-		span := int(r.cols[len(r.cols)-1]) - first + 1
-		if need := (span + 63) / 64; cap(mask) < need {
-			mask = make([]uint64, need)
-		} else {
-			mask = mask[:need]
-			for i := range mask {
-				mask[i] = 0
-			}
+		s := w<<6 | bits.TrailingZeros64(^hit)
+		for _, c := range cols {
+			idx := s + int(c) - first
+			used[idx>>6] |= 1 << (uint(idx) & 63)
 		}
-		for _, c := range r.cols {
-			rel := int(c) - first
-			mask[rel>>6] |= 1 << (uint(rel) & 63)
+		cb.n = max(cb.n, s+span+1)
+		for cb.lo < len(used) && used[cb.lo] == ^uint64(0) {
+			cb.lo++
 		}
-		s := 0 // candidate slot for the first significant column
-	search:
-		for {
-			// Skip to the next free slot for the first column.
-			w := s >> 6
-			for {
-				if w >= len(used) {
-					if s < w<<6 {
-						s = w << 6
-					}
-					break
-				}
-				if v := ^used[w] & (^uint64(0) << (uint(s) & 63)); v != 0 {
-					s = w<<6 | bits.TrailingZeros64(v)
-					break
-				}
-				w++
-				s = w << 6
-			}
-			// Compare the row mask against the occupancy window at s.
-			w, b := s>>6, uint(s)&63
-			for i, m := range mask {
-				var u uint64
-				if w+i < len(used) {
-					u = used[w+i] >> b
-				}
-				if b != 0 && w+i+1 < len(used) {
-					u |= used[w+i+1] << (64 - b)
-				}
-				if u&m != 0 {
-					s++
-					continue search
-				}
-			}
-			break
-		}
-		base := s - first
-		p.Base[r.state] = int32(base)
-		for _, c := range r.cols {
-			idx := base + int(c)
-			w := idx >> 6
-			for w >= len(used) {
-				used = append(used, 0)
-			}
-			used[w] |= 1 << (uint(idx) & 63)
-			if idx > maxIdx {
-				maxIdx = idx
-			}
-		}
+		return s - first
 	}
-
-	p.Data = make([]lr.Action, maxIdx+1)
-	p.Check = make([]int32, maxIdx+1)
-	for _, r := range rows {
-		base := int(p.Base[r.state])
-		for i, c := range r.cols {
-			idx := base + int(c)
-			p.Data[idx] = r.acts[i]
-			p.Check[idx] = int32(r.state) + 1
-		}
-	}
-	return p
 }
 
 // Lookup returns the action for (state, symbol id), Error for symbols
