@@ -1,16 +1,18 @@
 // Command cogd is the compile-as-a-service daemon: the table-driven
 // code generator behind an HTTP/JSON API, with the tables built (or
 // cache-loaded) once at startup and every request served from pooled
-// translation sessions over the batch worker pool.
+// translation sessions.
 //
 // Usage:
 //
 //	cogd [flags]
 //
 //	-addr HOST:PORT  listen address (default 127.0.0.1:8470)
-//	-spec NAME       default specification (amdahl470, amdahl-minimal,
-//	                 risc32, or a .cogg file path)
+//	-spec NAME       default specification: an embedded name (the list
+//	                 is specs.Lookup's) or a .cogg file path, named by
+//	                 its base name
 //	-risc            apply the risc32 target configuration to the spec
+//	                 (implied by -spec risc32)
 //	-cache DIR       on-disk blob store for table modules and decks
 //	                 (warm starts skip SLR construction)
 //	-blob-peers URLS comma-separated fleet replica base URLs; cold
@@ -18,12 +20,14 @@
 //	                 /v1/artifacts instead of constructing tables
 //	-blob-timeout D  per-attempt deadline for peer artifact fetches
 //	                 (default 2s)
-//	-blob-mem N      in-memory blob tier entry bound (default 256)
-//	-j N             batch worker pool size (default GOMAXPROCS)
+//	-blob-mem N      in-memory blob tier entry bound (default 64)
+//	-j N             workers per micro-batch, up to one per unit
+//	                 (default GOMAXPROCS); concurrent micro-batches each
+//	                 get their own, so -queue is what bounds the
+//	                 daemon's in-flight work
 //	-pool N          reusable sessions kept per module (default 2*j)
-//	-queue N         admission queue bound; a full queue answers 429
-//	-batch-window D  micro-batch coalescing window (default 200µs)
-//	-batch-max N     units per micro-batch (default 64)
+//	-queue N         admission bound on units admitted and not yet
+//	                 answered; past it requests get 429 (default 256)
 //	-timeout D       default per-request deadline (default 15s)
 //	-drain D         graceful-drain budget on SIGTERM/SIGINT (default 30s)
 //	-trace-ring N    request traces retained for /v1/traces (default 64)
@@ -75,12 +79,10 @@ func main() {
 	cacheDir := flag.String("cache", "", "table-module cache directory")
 	blobPeers := flag.String("blob-peers", "", "comma-separated peer base URLs for the shared artifact tier")
 	blobTimeout := flag.Duration("blob-timeout", 0, "per-attempt peer artifact fetch deadline (default 2s)")
-	blobMem := flag.Int("blob-mem", 0, "in-memory blob tier entry bound (default 256)")
-	workers := flag.Int("j", 0, "worker pool size (default GOMAXPROCS)")
+	blobMem := flag.Int("blob-mem", 0, "in-memory blob tier entry bound (default 64)")
+	workers := flag.Int("j", 0, "workers per micro-batch (default GOMAXPROCS)")
 	pool := flag.Int("pool", 0, "reusable sessions per module (default 2*j)")
-	queue := flag.Int("queue", 0, "admission queue bound (default 256)")
-	batchWindow := flag.Duration("batch-window", 0, "micro-batch coalescing window (default 200µs)")
-	batchMax := flag.Int("batch-max", 0, "max units per micro-batch (default 64)")
+	queue := flag.Int("queue", 0, "admission bound on in-flight units (default 256)")
 	timeout := flag.Duration("timeout", 0, "default per-request deadline (default 15s)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-drain budget on SIGTERM")
 	traceRing := flag.Int("trace-ring", 0, "request traces retained for /v1/traces (default 64)")
@@ -99,24 +101,19 @@ func main() {
 	if err != nil {
 		lg.Fatalf("cogd: %v", err)
 	}
-	sName, sSrc, err := loadSpec(*specName)
+	sp, err := specs.Load(*specName)
 	if err != nil {
 		lg.Fatalf("cogd: %v", err)
 	}
-	if *specName == "risc32" {
-		*risc = true
-	}
 	start := time.Now()
 	srv, err := server.New(server.Options{
-		SpecName:           sName,
-		SpecSrc:            sSrc,
-		Risc:               *risc,
+		SpecName:           sp.Name,
+		SpecSrc:            sp.Src,
+		Risc:               *risc || sp.Risc,
 		Workers:            *workers,
 		CacheDir:           *cacheDir,
 		PoolSize:           *pool,
 		QueueBound:         *queue,
-		BatchWindow:        *batchWindow,
-		BatchMax:           *batchMax,
 		DefaultDeadline:    *timeout,
 		EnablePprof:        *pprofOn,
 		TraceRing:          *traceRing,
@@ -141,7 +138,7 @@ func main() {
 	}
 	// The port distinguishes replicas in stitched cross-process traces.
 	srv.SetProcess("cogd@" + ln.Addr().String())
-	lg.Printf("cogd: serving %s on %s (tables ready in %v)", sName, ln.Addr(), time.Since(start).Round(time.Millisecond))
+	lg.Printf("cogd: serving %s on %s (tables ready in %v)", sp.Name, ln.Addr(), time.Since(start).Round(time.Millisecond))
 	if *pprofOn {
 		lg.Printf("cogd: pprof enabled at http://%s/debug/pprof/", ln.Addr())
 	}
@@ -183,21 +180,4 @@ func splitPeers(s string) []string {
 		}
 	}
 	return peers
-}
-
-// loadSpec resolves an embedded spec name or reads a .cogg file.
-func loadSpec(arg string) (string, string, error) {
-	switch arg {
-	case "amdahl470":
-		return "amdahl470.cogg", specs.Amdahl470, nil
-	case "amdahl-minimal", "minimal":
-		return "amdahl-minimal.cogg", specs.AmdahlMinimal, nil
-	case "risc32":
-		return "risc32.cogg", specs.Risc32, nil
-	}
-	b, err := os.ReadFile(arg)
-	if err != nil {
-		return "", "", err
-	}
-	return arg, string(b), nil
 }

@@ -25,8 +25,10 @@
 //	-breaker-cooldown D   open-breaker cooldown before the half-open
 //	                      probe (default 1s)
 //	-local                serve requests locally when no replica can
-//	-spec NAME            local tier's spec (as cogd -spec)
-//	-risc                 local tier's risc32 configuration
+//	-spec NAME            local tier's spec (as cogd -spec: an embedded
+//	                      name, the list is specs.Lookup's, or a path)
+//	-risc                 local tier's risc32 configuration (implied by
+//	                      -spec risc32)
 //	-cache DIR            local tier's table-module cache directory
 //	-log-format FMT       text (default, the traditional log lines) or
 //	                      json (structured log/slog output)
@@ -105,14 +107,14 @@ func main() {
 		// The local tier is built on first use, not at startup: a front
 		// over a healthy fleet never pays table construction.
 		opts.Local = func() (http.Handler, error) {
-			name, src, err := loadSpec(*specName)
+			sp, err := specs.Load(*specName)
 			if err != nil {
 				return nil, err
 			}
 			srv, err := server.New(server.Options{
-				SpecName: name,
-				SpecSrc:  src,
-				Risc:     *risc || *specName == "risc32",
+				SpecName: sp.Name,
+				SpecSrc:  sp.Src,
+				Risc:     *risc || sp.Risc,
 				CacheDir: *cacheDir,
 				Registry: reg,
 				Process:  "cogdfront-local",
@@ -122,7 +124,7 @@ func main() {
 			if err != nil {
 				return nil, err
 			}
-			lg.Printf("cogdfront: degraded: serving %s locally", name)
+			lg.Printf("cogdfront: degraded: serving %s locally", sp.Name)
 			return srv.Handler(), nil
 		}
 	}
@@ -154,22 +156,4 @@ func main() {
 	case err := <-errc:
 		lg.Fatalf("cogdfront: %v", err)
 	}
-}
-
-// loadSpec resolves an embedded spec name or reads a .cogg file, as
-// cogd does.
-func loadSpec(arg string) (string, string, error) {
-	switch arg {
-	case "amdahl470":
-		return "amdahl470.cogg", specs.Amdahl470, nil
-	case "amdahl-minimal", "minimal":
-		return "amdahl-minimal.cogg", specs.AmdahlMinimal, nil
-	case "risc32":
-		return "risc32.cogg", specs.Risc32, nil
-	}
-	b, err := os.ReadFile(arg)
-	if err != nil {
-		return "", "", err
-	}
-	return arg, string(b), nil
 }

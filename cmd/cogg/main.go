@@ -9,9 +9,9 @@
 //	cogg cache <ls|gc|verify> -dir DIR
 //	cogg trace -targets URL[,URL...] [-id TRACE-ID]
 //
-// Without a spec file the built-in Amdahl 470 specification is used; the
-// names "amdahl470", "amdahl-minimal", and "risc32" select the other
-// built-ins.
+// Without a spec argument the built-in Amdahl 470 specification is
+// used; an embedded name (the list is specs.Lookup's) selects another
+// built-in, and anything else is read as a .cogg file.
 //
 // The explain subcommand translates one unit with derivation recording
 // on and prints, per emitted instruction, the production whose
@@ -51,7 +51,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"cogg/internal/asm"
 	"cogg/internal/batch"
@@ -97,10 +96,15 @@ func main() {
 		fatal(err)
 	}
 
-	name, src, err := loadSpec(flag.Arg(0))
+	arg := flag.Arg(0)
+	if arg == "" {
+		arg = "amdahl470"
+	}
+	sp, err := specs.Load(arg)
 	if err != nil {
 		fatal(err)
 	}
+	name, src := sp.Name, sp.Src
 	var cg *core.CodeGenerator
 	profiling.Phase("tablebuild", func() {
 		cg, err = core.Generate(name, src)
@@ -187,8 +191,8 @@ recorded up to the block, then the diagnostics, and exits nonzero.
 `)
 		fs.PrintDefaults()
 	}
-	spec := fs.String("spec", "amdahl470", "code generator specification (amdahl470, amdahl-minimal, risc32, or a path)")
-	risc := fs.Bool("risc", false, "use the risc32 target configuration")
+	spec := fs.String("spec", "amdahl470", "code generator specification: an embedded name or a .cogg file")
+	risc := fs.Bool("risc", false, "use the risc32 target configuration (implied by -spec risc32)")
 	pascalIn := fs.Bool("pascal", false, "input is Pascal source, not prefix-IF")
 	listing := fs.Bool("S", false, "print the assembly listing before the derivation")
 	fs.Parse(args)
@@ -196,15 +200,15 @@ recorded up to the block, then the diagnostics, and exits nonzero.
 		fatal(fmt.Errorf("explain takes one input file (or standard input)"))
 	}
 
-	specName, specSrc, err := loadSpec(*spec)
+	sp, err := specs.Load(*spec)
 	if err != nil {
 		fatal(err)
 	}
 	cfg := rt370.Config()
-	if *risc {
+	if *risc || sp.Risc {
 		cfg = driver.RiscConfig()
 	}
-	tgt, err := driver.NewTargetWithConfig(specName, specSrc, cfg)
+	tgt, err := driver.NewTargetWithConfig(sp.Name, sp.Src, cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -248,26 +252,6 @@ recorded up to the block, then the diagnostics, and exits nonzero.
 		fmt.Fprintf(os.Stderr, "cogg explain: %s: %v\n", unitName, genErr)
 		os.Exit(1)
 	}
-}
-
-func loadSpec(arg string) (string, string, error) {
-	switch arg {
-	case "", "amdahl470":
-		return "amdahl470.cogg", specs.Amdahl470, nil
-	case "amdahl-minimal", "minimal":
-		return "amdahl-minimal.cogg", specs.AmdahlMinimal, nil
-	case "risc32":
-		return "risc32.cogg", specs.Risc32, nil
-	}
-	b, err := os.ReadFile(arg)
-	if err != nil {
-		return "", "", err
-	}
-	// Name the spec by its base name, not the argument path: the name is
-	// part of the table-module cache key, and `cogg specs/amdahl470.cogg`
-	// must publish the same key that ifcgen/pascal370 look up for the
-	// built-in "amdahl470.cogg".
-	return filepath.Base(arg), string(b), nil
 }
 
 func fatal(err error) {

@@ -26,7 +26,9 @@
 //	              DIR (as written by ifsynth -out), implying -lang if:
 //	              load with grammar-wide variety instead of one fixed
 //	              program
-//	-spec NAME    spec the requests select (daemon default when empty)
+//	-spec NAME    spec the requests select: an embedded name (the list
+//	              is specs.Lookup's) or the daemon default's name;
+//	              empty selects the default
 //	-n N          closed loop: total requests (default 500)
 //	-c N          closed loop: concurrent workers (default 8)
 //	-rate R       open loop: launch R requests/second instead of the

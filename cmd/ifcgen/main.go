@@ -11,8 +11,10 @@
 // several files the streams are translated concurrently on the batch
 // service's worker pool; listings are printed in argument order.
 //
-//	-spec NAME   specification (amdahl470, amdahl-minimal, risc32, or a path)
-//	-risc        use the risc32 target configuration
+//	-spec NAME   specification: an embedded name (the list is
+//	             specs.Lookup's) or a .cogg file path
+//	-risc        use the risc32 target configuration (implied by
+//	             -spec risc32)
 //	-cache DIR   table-module cache: warm-start from a module published
 //	             by cogg -cache instead of reconstructing the tables
 //	-j N         worker pool size (default GOMAXPROCS)
@@ -97,7 +99,7 @@ func main() {
 	if startupTr != nil {
 		specSpan = startupTr.StartSpan("spec-load", -1)
 	}
-	sName, sSrc, err := loadSpec(*specName)
+	sp, err := specs.Load(*specName)
 	if startupTr != nil {
 		startupTr.EndSpan(specSpan)
 	}
@@ -105,7 +107,7 @@ func main() {
 		fatal(err)
 	}
 	cfg := rt370.Config()
-	if *risc {
+	if *risc || sp.Risc {
 		cfg = driver.RiscConfig()
 	}
 	if *trace {
@@ -120,7 +122,7 @@ func main() {
 		Retries:       *retries,
 		MeasureAllocs: *stats,
 	})
-	tgt, err := svc.TargetCtx(tctx, sName, sSrc, cfg)
+	tgt, err := svc.TargetCtx(tctx, sp.Name, sp.Src, cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -176,22 +178,6 @@ func readUnits(args []string) ([]batch.IFUnit, error) {
 		units = append(units, batch.IFUnit{Name: a, Text: string(src)})
 	}
 	return units, nil
-}
-
-func loadSpec(arg string) (string, string, error) {
-	switch arg {
-	case "amdahl470":
-		return "amdahl470.cogg", specs.Amdahl470, nil
-	case "amdahl-minimal", "minimal":
-		return "amdahl-minimal.cogg", specs.AmdahlMinimal, nil
-	case "risc32":
-		return "risc32.cogg", specs.Risc32, nil
-	}
-	b, err := os.ReadFile(arg)
-	if err != nil {
-		return "", "", err
-	}
-	return arg, string(b), nil
 }
 
 func fatal(err error) {

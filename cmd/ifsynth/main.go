@@ -16,8 +16,8 @@
 //
 //	ifsynth [flags]
 //
-//	-spec NAME    specification: amdahl470 (default), amdahl-minimal,
-//	              or risc32 (embedded specs only)
+//	-spec NAME    specification: an embedded name (the list is
+//	              specs.Lookup's; default amdahl470), never a file
 //	-seed N       PRNG seed (default 42); the corpus is a pure function
 //	              of (spec, seed, n, budgets)
 //	-n N          programs to generate (default 100); witness programs
@@ -57,7 +57,7 @@ import (
 
 func main() {
 	var (
-		specName  = flag.String("spec", "amdahl470", "specification: amdahl470, amdahl-minimal, or risc32")
+		specName  = flag.String("spec", "amdahl470", "embedded specification name")
 		seed      = flag.Int64("seed", 42, "PRNG seed; the corpus is deterministic given it")
 		n         = flag.Int("n", 100, "programs to generate (witnesses appended beyond n)")
 		outDir    = flag.String("out", "", "write programs as files under this directory")
@@ -76,16 +76,17 @@ func main() {
 }
 
 func run(specName string, seed int64, n int, outDir, fuzzOut string, maxTokens, maxStmts, maxDepth int, verify, quiet bool) error {
-	name, src, risc, err := resolveSpec(specName)
+	sp, err := specs.Lookup(specName)
 	if err != nil {
 		return err
 	}
-	cg, err := core.Generate(name, src)
+	name := sp.Name
+	cg, err := core.Generate(name, sp.Src)
 	if err != nil {
 		return err
 	}
 	cfg := rt370.Config()
-	if risc {
+	if sp.Risc {
 		cfg = driver.RiscConfig()
 	}
 	o := oracle.New(cg.Module())
@@ -144,7 +145,7 @@ func run(specName string, seed int64, n int, outDir, fuzzOut string, maxTokens, 
 		}
 	}
 	if fuzzOut != "" {
-		if err := writeFuzzSeeds(fuzzOut, name, seed, src, c.Programs); err != nil {
+		if err := writeFuzzSeeds(fuzzOut, name, seed, sp.Src, c.Programs); err != nil {
 			return err
 		}
 	}
@@ -158,18 +159,6 @@ func run(specName string, seed int64, n int, outDir, fuzzOut string, maxTokens, 
 			len(c.Report.Uncovered), strings.Join(c.Report.Uncovered, "\n"))
 	}
 	return nil
-}
-
-func resolveSpec(spec string) (name, src string, risc bool, err error) {
-	switch spec {
-	case "amdahl470", "amdahl470.cogg":
-		return "amdahl470.cogg", specs.Amdahl470, false, nil
-	case "amdahl-minimal", "amdahl-minimal.cogg", "minimal":
-		return "amdahl-minimal.cogg", specs.AmdahlMinimal, false, nil
-	case "risc32", "risc32.cogg":
-		return "risc32.cogg", specs.Risc32, true, nil
-	}
-	return "", "", false, fmt.Errorf("unknown spec %q (amdahl470, amdahl-minimal, risc32)", spec)
 }
 
 // writeFuzzSeeds emits Go seed-corpus files ("go test fuzz v1", one

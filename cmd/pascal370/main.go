@@ -10,8 +10,10 @@
 // pool; per-program output appears in argument order regardless of
 // completion order.
 //
-//	-spec NAME   code generator specification (amdahl470, amdahl-minimal,
-//	             or a file path; default amdahl470)
+//	-spec NAME   code generator specification: an embedded name (the
+//	             list is specs.Lookup's) or a .cogg file path; default
+//	             amdahl470. risc32 compiles and lists; -run and -dis
+//	             need the S/370 target
 //	-cache DIR   table-module cache: warm-start from a module published
 //	             by cogg -cache instead of reconstructing the tables
 //	-j N         worker pool size (default GOMAXPROCS)
@@ -144,7 +146,7 @@ func main() {
 	if startupTr != nil {
 		specSpan = startupTr.StartSpan("spec-load", -1)
 	}
-	sName, sSrc, err := loadSpec(*specName)
+	sp, err := specs.Load(*specName)
 	if startupTr != nil {
 		startupTr.EndSpan(specSpan)
 	}
@@ -159,8 +161,11 @@ func main() {
 		MeasureAllocs: *stats,
 	})
 	cfg := rt370.Config()
+	if sp.Risc {
+		cfg = driver.RiscConfig()
+	}
 	cfg.MaxBlocks = *maxErrors
-	tgt, err := svc.TargetCtx(tctx, sName, sSrc, cfg)
+	tgt, err := svc.TargetCtx(tctx, sp.Name, sp.Src, cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -264,20 +269,6 @@ func report(srcFile string, c *driver.Compiled, tgt *driver.Target, o reportOpts
 		}
 	}
 	return nil
-}
-
-func loadSpec(arg string) (string, string, error) {
-	switch arg {
-	case "amdahl470":
-		return "amdahl470.cogg", specs.Amdahl470, nil
-	case "amdahl-minimal", "minimal":
-		return "amdahl-minimal.cogg", specs.AmdahlMinimal, nil
-	}
-	b, err := os.ReadFile(arg)
-	if err != nil {
-		return "", "", err
-	}
-	return arg, string(b), nil
 }
 
 func fatal(err error) {

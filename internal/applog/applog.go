@@ -17,8 +17,7 @@ import (
 
 // Logger routes daemon operational lines per the chosen format.
 type Logger struct {
-	json      *slog.Logger
-	component string
+	json *slog.Logger
 }
 
 // New builds a logger for -log-format value format ("", "text", or
@@ -26,12 +25,9 @@ type Logger struct {
 func New(format, component string) (*Logger, error) {
 	switch format {
 	case "", "text":
-		return &Logger{component: component}, nil
+		return &Logger{}, nil
 	case "json":
-		return &Logger{
-			json:      slog.New(slog.NewJSONHandler(os.Stderr, nil)).With("component", component),
-			component: component,
-		}, nil
+		return &Logger{json: slog.New(slog.NewJSONHandler(os.Stderr, nil)).With("component", component)}, nil
 	default:
 		return nil, fmt.Errorf("unknown log format %q (want text or json)", format)
 	}
@@ -46,16 +42,6 @@ func (l *Logger) Printf(format string, args ...any) {
 		return
 	}
 	l.json.Info(fmt.Sprintf(format, args...))
-}
-
-// Info emits a structured line: msg plus key/value attrs. Text mode
-// renders them as logfmt-style suffixes on a log.Printf line.
-func (l *Logger) Info(msg string, attrs ...any) {
-	if l == nil || l.json == nil {
-		log.Printf("%s: %s%s", l.comp(), msg, renderAttrs(attrs))
-		return
-	}
-	l.json.Info(msg, attrs...)
 }
 
 // Fatalf logs and exits 1, both modes.
@@ -74,26 +60,4 @@ func (l *Logger) Slog() *slog.Logger {
 		return nil
 	}
 	return l.json
-}
-
-func (l *Logger) comp() string {
-	if l == nil || l.component == "" {
-		return "log"
-	}
-	return l.component
-}
-
-// renderAttrs formats alternating key/value pairs as " k=v" suffixes.
-func renderAttrs(attrs []any) string {
-	if len(attrs) == 0 {
-		return ""
-	}
-	out := ""
-	for i := 0; i+1 < len(attrs); i += 2 {
-		out += fmt.Sprintf(" %v=%v", attrs[i], attrs[i+1])
-	}
-	if len(attrs)%2 == 1 {
-		out += fmt.Sprintf(" %v", attrs[len(attrs)-1])
-	}
-	return out
 }

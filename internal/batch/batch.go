@@ -52,6 +52,9 @@ import (
 	"cogg/internal/tables"
 )
 
+// memEntries caps the in-memory decoded-module LRU.
+const memEntries = 8
+
 // Options configure a Service.
 type Options struct {
 	// Workers bounds the compilation pool; <= 0 means GOMAXPROCS.
@@ -66,8 +69,6 @@ type Options struct {
 	// peers (see internal/blob). Nil falls back to a plain disk store
 	// under CacheDir, or no store at all when both are empty.
 	Blob blob.Store
-	// MemEntries caps the in-memory module LRU; <= 0 means 8.
-	MemEntries int
 
 	// UnitTimeout bounds each compilation unit's wall time; a unit past
 	// the deadline fails with FailTimeout while the rest of the batch
@@ -117,10 +118,6 @@ func New(opts Options) *Service {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	mem := opts.MemEntries
-	if mem <= 0 {
-		mem = 8
-	}
 	backoff := opts.RetryBackoff
 	if backoff <= 0 {
 		backoff = 10 * time.Millisecond
@@ -129,7 +126,7 @@ func New(opts Options) *Service {
 		workers:  w,
 		store:    opts.Blob,
 		indexDir: opts.CacheDir,
-		mem:      newModuleLRU(mem),
+		mem:      newModuleLRU(memEntries),
 		timeout:  opts.UnitTimeout,
 		retries:  opts.Retries,
 		backoff:  backoff,
@@ -342,14 +339,14 @@ type IFResult struct {
 // isolated the same way CompileBatch's are.
 func (s *Service) TranslateBatch(tgt *driver.Target, units []IFUnit) []IFResult {
 	return s.TranslateBatchWith(units, func(u IFUnit) IFResult {
-		return translateOne(tgt, u)
+		return Translate(tgt.Gen, tgt.Machine, u)
 	})
 }
 
 // TranslateBatchWith is TranslateBatch with a caller-supplied translator
 // per unit — the hook the cogd serving layer uses to drive pooled
-// reusable sessions through the service's worker pool, per-unit
-// isolation, and statistics. The translator runs inside the same
+// reusable sessions (through Translate) over the service's workers,
+// per-unit isolation, and statistics. The translator runs inside the same
 // recover/deadline/retry envelope as the default one, so it must be
 // safe for concurrent calls and may be re-invoked after a transient
 // fault.
@@ -380,22 +377,26 @@ func (s *Service) TranslateBatchWith(units []IFUnit, translate func(IFUnit) IFRe
 	return results
 }
 
-// translateOne tokenizes, generates, and lays out one IF stream.
-func translateOne(tgt *driver.Target, u IFUnit) IFResult {
+// Translate tokenizes, generates, and lays out one IF stream on ses — a
+// *codegen.Generator (a fresh session per call) or a caller-owned
+// *codegen.Session. The listing is rendered before Translate returns
+// and nothing in the result aliases session storage, so a pooled
+// session may be reused as soon as it does.
+func Translate(ses codegen.EngineSession, m asm.Machine, u IFUnit) IFResult {
 	toks, err := ir.ParseTokens(u.Text)
 	if err != nil {
 		return IFResult{Name: u.Name, Err: err}
 	}
-	prog, res, err := tgt.Gen.GenerateCtx(ctxOf(u.Ctx), u.Name, toks)
+	prog, res, err := ses.GenerateCtx(ctxOf(u.Ctx), u.Name, toks)
 	if err != nil {
 		return IFResult{Name: u.Name, Err: err}
 	}
-	if err := labels.Layout(prog, tgt.Machine); err != nil {
+	if err := labels.Layout(prog, m); err != nil {
 		return IFResult{Name: u.Name, Err: err}
 	}
 	return IFResult{
 		Name:         u.Name,
-		Listing:      asm.Listing(prog, tgt.Machine),
+		Listing:      asm.Listing(prog, m),
 		Tokens:       len(toks),
 		Reductions:   res.Reductions,
 		Instructions: prog.InstructionCount(),

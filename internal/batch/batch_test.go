@@ -72,6 +72,32 @@ func TestCacheTiers(t *testing.T) {
 	}
 }
 
+// TestFileSpecSharesEmbeddedKey: a module cached under the name
+// specs.Load gives a file path (as `cogg -cache D specs/amdahl470.cogg`
+// caches it) is a disk hit for a later service that resolves the
+// embedded name "amdahl470".
+func TestFileSpecSharesEmbeddedKey(t *testing.T) {
+	dir := t.TempDir()
+	file, err := specs.Load("../../specs/amdahl470.cogg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := batch.New(batch.Options{CacheDir: dir}).Module(file.Name, file.Src); err != nil {
+		t.Fatal(err)
+	}
+	embedded, err := specs.Lookup("amdahl470")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := batch.New(batch.Options{CacheDir: dir})
+	if _, err := s.Module(embedded.Name, embedded.Src); err != nil {
+		t.Fatal(err)
+	}
+	if v := s.Stats.Snapshot(); v.DiskHits != 1 || v.Misses != 0 {
+		t.Fatalf("embedded name after file publish: disk=%d misses=%d, want 1/0", v.DiskHits, v.Misses)
+	}
+}
+
 // TestWarmTargetCompilesIdentically proves the warm path is not a
 // different compiler: a target decoded from the disk cache emits
 // byte-for-byte the listing of one built from specification source.
@@ -318,5 +344,15 @@ func TestTranslateBatch(t *testing.T) {
 	}
 	if res[2].Err != nil || res[2].Instructions == 0 {
 		t.Errorf("mult unit: %+v", res[2])
+	}
+	// A reused session translates exactly as the generator does.
+	ses, err := tgt.Gen.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		if got := batch.Translate(ses, tgt.Machine, units[2]); got != res[2] {
+			t.Errorf("session pass %d: %+v, want %+v", pass, got, res[2])
+		}
 	}
 }

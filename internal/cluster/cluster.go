@@ -100,10 +100,6 @@ type Options struct {
 	// HTTPClient overrides the transport; nil builds one with sensible
 	// connection pooling.
 	HTTPClient *http.Client
-
-	// VNodes is the virtual nodes per replica on the hash ring;
-	// <= 0 means 64.
-	VNodes int
 }
 
 func (o *Options) fill() {
@@ -127,9 +123,6 @@ func (o *Options) fill() {
 	}
 	if o.ProbeTimeout <= 0 {
 		o.ProbeTimeout = 500 * time.Millisecond
-	}
-	if o.VNodes <= 0 {
-		o.VNodes = 64
 	}
 	if o.HTTPClient == nil {
 		o.HTTPClient = &http.Client{Transport: &http.Transport{
@@ -236,7 +229,7 @@ func New(opts Options) (*Client, error) {
 		return nil, errors.New("cluster: no usable targets")
 	}
 	c.byToken = assignTokens(c.reps)
-	c.ring = newRing(c.reps, opts.VNodes)
+	c.ring = newRing(c.reps)
 	c.m = newMetrics(opts.Registry, c.reps)
 	if opts.ProbeInterval > 0 {
 		c.startProbers()

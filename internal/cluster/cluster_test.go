@@ -30,8 +30,8 @@ func testReplicas(n int) []*replica {
 // front restarts and holds across independent fronts.
 func TestRingDeterminism(t *testing.T) {
 	reps := testReplicas(3)
-	r1 := newRing(reps, 64)
-	r2 := newRing(reps, 64)
+	r1 := newRing(reps)
+	r2 := newRing(reps)
 	for _, key := range []string{"", "amdahl470", "risc32", "some/other/key"} {
 		o1, o2 := r1.order(key), r2.order(key)
 		if len(o1) != 3 || len(o2) != 3 {
@@ -54,7 +54,7 @@ func TestRingDeterminism(t *testing.T) {
 // replica owns a reasonable share of a large key space.
 func TestRingSpreadsKeys(t *testing.T) {
 	reps := testReplicas(3)
-	r := newRing(reps, 64)
+	r := newRing(reps)
 	owners := make([]int, 3)
 	const keys = 3000
 	for i := 0; i < keys; i++ {

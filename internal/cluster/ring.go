@@ -7,8 +7,11 @@ import (
 	"strconv"
 )
 
+// vnodes is the virtual nodes each replica owns on the hash ring.
+const vnodes = 64
+
 // ring is a consistent-hash ring with virtual nodes. Each replica owns
-// VNodes points on a 64-bit circle; a key routes to the first point
+// vnodes points on a 64-bit circle; a key routes to the first point
 // clockwise of its hash. The point of hashing spec keys — rather than
 // round-robining — is cache affinity: every request for one
 // specification lands on the same replica, so that replica's session
@@ -24,7 +27,7 @@ type ringPoint struct {
 	rep  int // index into replicas
 }
 
-func newRing(replicas []*replica, vnodes int) *ring {
+func newRing(replicas []*replica) *ring {
 	r := &ring{
 		points:   make([]ringPoint, 0, len(replicas)*vnodes),
 		replicas: replicas,

@@ -20,8 +20,9 @@ type CompileRequest struct {
 	// Source is the program or IF text.
 	Source string `json:"source"`
 	// Spec selects the code generator specification by embedded name
-	// (amdahl470, amdahl-minimal, risc32); empty means the daemon's
-	// default. File paths are deliberately not accepted over the wire.
+	// (any name specs.Lookup accepts) or by the daemon default's name;
+	// empty means the default. File paths are deliberately not accepted
+	// over the wire.
 	Spec string `json:"spec,omitempty"`
 	// Options are the shaper/optimizer knobs of the pascal pipeline,
 	// mirroring the pascal370 flags.

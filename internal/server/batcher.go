@@ -9,13 +9,11 @@ import (
 	"strings"
 	"time"
 
-	"cogg/internal/asm"
 	"cogg/internal/batch"
 	"cogg/internal/blob"
 	"cogg/internal/codegen"
 	"cogg/internal/faultinject"
 	"cogg/internal/ir"
-	"cogg/internal/labels"
 	"cogg/internal/obs"
 	"cogg/internal/shaper"
 )
@@ -77,11 +75,19 @@ func (p *pending) finish(status int, resp CompileResponse) {
 	close(p.done)
 }
 
+// The micro-batcher's shape: how long the collector waits to coalesce
+// more requests after the first, and how many units one micro-batch
+// may hold.
+const (
+	batchWindow = 200 * time.Microsecond
+	batchMax    = 64
+)
+
 // collect is the micro-batcher: it blocks for the first queued request,
-// then coalesces whatever arrives within BatchWindow (up to BatchMax)
-// into one batch dispatched over the worker pool. Under load the window
-// never waits its full length — the batch fills first — so coalescing
-// costs idle-traffic latency only.
+// then coalesces whatever arrives within batchWindow (up to batchMax)
+// into one micro-batch, run on its own goroutine through the batch
+// service. Under load the window never waits its full length — the
+// batch fills first — so coalescing costs idle-traffic latency only.
 func (s *Server) collect() {
 	defer close(s.collectorDone)
 	for {
@@ -100,9 +106,9 @@ func (s *Server) collect() {
 			}
 		}
 		group := []*pending{first}
-		timer := time.NewTimer(s.opts.BatchWindow)
+		timer := time.NewTimer(batchWindow)
 	gather:
-		for len(group) < s.opts.BatchMax {
+		for len(group) < batchMax {
 			select {
 			case p := <-s.queue:
 				group = append(group, p)
@@ -224,47 +230,19 @@ func explainUnit(p *pending) (prov []codegen.ProvEntry) {
 }
 
 // translate is the pooled-session unit translator handed to
-// TranslateBatchWith. It runs inside the batch service's per-unit
-// recover: a panic mid-translation unwinds past the put, so the
-// poisoned session is simply never re-pooled.
+// TranslateBatchWith. batch.Translate renders the listing before it
+// returns, so the session goes back to the pool with nothing aliasing
+// it. It runs inside the batch service's per-unit recover: a panic
+// mid-translation unwinds past the put, so the poisoned session is
+// simply never re-pooled.
 func (t *modTarget) translate(u batch.IFUnit) batch.IFResult {
 	ses, err := t.pool.get()
 	if err != nil {
 		return batch.IFResult{Name: u.Name, Err: err}
 	}
-	r := translateSession(t, ses, u)
+	r := batch.Translate(ses, t.tgt.Machine, u)
 	t.pool.put(ses, r.Err)
 	return r
-}
-
-// translateSession is one IF translation on a caller-owned session —
-// the batch service's stock translator, minus the per-call session
-// build. The returned listing is a fresh string; nothing in the result
-// aliases session storage, so the session may be reused immediately.
-func translateSession(t *modTarget, ses *codegen.Session, u batch.IFUnit) batch.IFResult {
-	toks, err := ir.ParseTokens(u.Text)
-	if err != nil {
-		return batch.IFResult{Name: u.Name, Err: err}
-	}
-	ctx := u.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	prog, res, err := ses.GenerateCtx(ctx, u.Name, toks)
-	if err != nil {
-		return batch.IFResult{Name: u.Name, Err: err}
-	}
-	if err := labels.Layout(prog, t.tgt.Machine); err != nil {
-		return batch.IFResult{Name: u.Name, Err: err}
-	}
-	return batch.IFResult{
-		Name:         u.Name,
-		Listing:      asm.Listing(prog, t.tgt.Machine),
-		Tokens:       len(toks),
-		Reductions:   res.Reductions,
-		Instructions: prog.InstructionCount(),
-		CodeBytes:    prog.CodeSize,
-	}
 }
 
 // deckCacheEntry is the blob-cached form of a deck-producing compile:

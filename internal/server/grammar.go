@@ -234,7 +234,7 @@ func (s *Server) handleGrammarSession(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.finishTrace(tr, reqSpan, failMode, time.Since(t0)) }()
 
 	var req GrammarSessionRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		failMode = "bad-request"
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
@@ -283,7 +283,7 @@ func (s *Server) handleGrammarNext(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.finishTrace(tr, reqSpan, failMode, time.Since(t0)) }()
 
 	var req GrammarNextRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		failMode = "bad-request"
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return

@@ -8,12 +8,12 @@
 // the batch service's two-tier cache, holds a bounded pool of reusable
 // translation sessions per module so the steady-state raw-IF path keeps
 // the zero-allocation emission loop of package codegen, coalesces
-// concurrent requests into micro-batches over the batch worker pool,
-// and applies admission control: a bounded intake queue (429 when
-// full), per-request deadlines (504 past the deadline), and a graceful
-// drain that completes in-flight requests while rejecting new ones
-// (503). Unit failures map the batch failure taxonomy onto HTTP status
-// codes — see StatusFor.
+// concurrent requests into micro-batches run through the batch
+// service, and applies admission control: a bounded intake queue (429
+// when full), per-request deadlines (504 past the deadline), and a
+// graceful drain that completes in-flight requests while rejecting new
+// ones (503). Unit failures map the batch failure taxonomy onto HTTP
+// status codes — see StatusFor.
 //
 // Endpoints:
 //
@@ -68,17 +68,24 @@ import (
 	"cogg/specs"
 )
 
+// maxBodyBytes caps a request body.
+const maxBodyBytes = 8 << 20
+
 // Options configure a Server.
 type Options struct {
 	// SpecName/SpecSrc are the default specification; empty means the
 	// embedded amdahl470. Requests may select another embedded spec by
-	// name, never a file path.
+	// any name specs.Lookup accepts, never a file path; a request whose
+	// name resolves to SpecName gets the default.
 	SpecName string
 	SpecSrc  string
 	// Risc applies the risc32 target configuration to the default spec.
 	Risc bool
 
-	// Workers bounds the batch worker pool; <= 0 means GOMAXPROCS.
+	// Workers is how many workers each micro-batch fans out over (up
+	// to one per unit); <= 0 means GOMAXPROCS. Concurrent micro-batches
+	// each get their own, so QueueBound, not Workers, bounds the
+	// daemon's in-flight work.
 	Workers int
 	// CacheDir is the on-disk table-module cache; empty disables the
 	// disk blob tier (the in-memory blob tier still serves).
@@ -91,10 +98,10 @@ type Options struct {
 	// tiers, never the peers — two replicas pointing at each other must
 	// not bounce a missing key forever.
 	BlobPeers []string
-	// BlobMemEntries/BlobMemBytes bound the in-memory blob tier;
-	// <= 0 means the blob package defaults (64 entries / 256 MiB).
+	// BlobMemEntries bounds the in-memory blob tier's entry count;
+	// <= 0 means the blob package default (64). Its byte bound is
+	// always the package default (256 MiB).
 	BlobMemEntries int
-	BlobMemBytes   int64
 	// BlobAttemptTimeout bounds one artifact fetch attempt against a
 	// peer; <= 0 means 2s. Tests and latency-sensitive deployments
 	// shrink it — the fetch races a ~11ms local table construction.
@@ -103,29 +110,21 @@ type Options struct {
 	// silent.
 	Logf func(format string, args ...any)
 	// PoolSize caps the reusable-session free list per module;
-	// <= 0 means 2x the worker pool.
+	// <= 0 means 2x Workers.
 	PoolSize int
 
-	// QueueBound caps requests waiting for a micro-batch slot; a full
-	// queue answers 429. <= 0 means 256.
+	// QueueBound caps units admitted and not yet answered; past it a
+	// request answers 429. <= 0 means 256.
 	QueueBound int
-	// BatchWindow is how long the collector waits to coalesce more
-	// requests into a micro-batch; <= 0 means 200µs.
-	BatchWindow time.Duration
-	// BatchMax caps units per micro-batch; <= 0 means 64.
-	BatchMax int
 
 	// DefaultDeadline bounds a request that sends no deadline_ms, and
 	// is also the batch service's per-unit wall-time limit; <= 0 means
 	// 15s.
 	DefaultDeadline time.Duration
-	// MaxStackDepth and MaxCodeBytes bound each translation's parse
-	// stack and code buffer (codegen.Config limits, answered as 413);
-	// <= 0 keeps the codegen defaults.
+	// MaxStackDepth bounds each translation's parse stack (a
+	// codegen.Config limit, answered as 413); <= 0 keeps the codegen
+	// default. The code buffer keeps codegen's default bound.
 	MaxStackDepth int
-	MaxCodeBytes  int
-	// MaxBodyBytes caps a request body; <= 0 means 8 MiB.
-	MaxBodyBytes int64
 
 	// GrammarTTL is how long an idle grammar-walk session survives
 	// before the background sweeper reclaims it; <= 0 means 5 minutes.
@@ -179,17 +178,8 @@ func (o *Options) fill() {
 	if o.QueueBound <= 0 {
 		o.QueueBound = 256
 	}
-	if o.BatchWindow <= 0 {
-		o.BatchWindow = 200 * time.Microsecond
-	}
-	if o.BatchMax <= 0 {
-		o.BatchMax = 64
-	}
 	if o.DefaultDeadline <= 0 {
 		o.DefaultDeadline = 15 * time.Second
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 8 << 20
 	}
 	if o.GrammarTTL <= 0 {
 		o.GrammarTTL = grammarTTL
@@ -292,7 +282,7 @@ func New(opts Options) (*Server, error) {
 		counts[backend] = c
 		return blob.WithCounters(st, c)
 	}
-	memTier := wrap("mem", blob.NewMem(opts.BlobMemEntries, opts.BlobMemBytes))
+	memTier := wrap("mem", blob.NewMem(opts.BlobMemEntries, 0))
 	var fsTier, remoteTier blob.Store
 	if opts.CacheDir != "" {
 		fsTier = wrap("fs", blob.NewFS(opts.CacheDir))
@@ -420,41 +410,40 @@ func (s *Server) Close() {
 }
 
 // target resolves a request's spec field to its serving state, building
-// the target (through the module cache) on first use. Only embedded
-// spec names and the daemon's default are served.
+// the target (through the module cache) on first use. Only the daemon's
+// default and the embedded specs (through specs.Lookup, which never
+// reads a file) are served; any alias of the default's name gets the
+// default.
 func (s *Server) target(spec string) (*modTarget, error) {
-	name, src, risc := s.opts.SpecName, s.opts.SpecSrc, s.opts.Risc
-	switch spec {
-	case "", s.opts.SpecName:
-	case "amdahl470", "amdahl470.cogg":
-		name, src, risc = "amdahl470.cogg", specs.Amdahl470, false
-	case "amdahl-minimal", "minimal", "amdahl-minimal.cogg":
-		name, src, risc = "amdahl-minimal.cogg", specs.AmdahlMinimal, false
-	case "risc32", "risc32.cogg":
-		name, src, risc = "risc32.cogg", specs.Risc32, true
-	default:
-		return nil, fmt.Errorf("unknown spec %q (serving amdahl470, amdahl-minimal, risc32, and the daemon default)", spec)
+	sp := specs.Spec{Name: s.opts.SpecName, Src: s.opts.SpecSrc, Risc: s.opts.Risc}
+	if spec != "" && spec != sp.Name {
+		e, err := specs.Lookup(spec)
+		if err != nil {
+			return nil, fmt.Errorf("%w, or the daemon default %q", err, sp.Name)
+		}
+		if e.Name != sp.Name {
+			sp = e
+		}
 	}
 	s.tmu.Lock()
 	defer s.tmu.Unlock()
-	if mt, ok := s.targets[name]; ok {
+	if mt, ok := s.targets[sp.Name]; ok {
 		return mt, nil
 	}
 	cfg := rt370.Config()
-	if risc {
+	if sp.Risc {
 		cfg = driver.RiscConfig()
 	}
 	cfg.MaxStackDepth = s.opts.MaxStackDepth
-	cfg.MaxCodeBytes = s.opts.MaxCodeBytes
-	cfg.Metrics = codegen.NewMetrics(s.reg, name)
-	tgt, err := s.svc.Target(name, src, cfg)
+	cfg.Metrics = codegen.NewMetrics(s.reg, sp.Name)
+	tgt, err := s.svc.Target(sp.Name, sp.Src, cfg)
 	if err != nil {
 		return nil, err
 	}
-	mt := &modTarget{specName: name, key: batch.Key(name, src), tgt: tgt,
+	mt := &modTarget{specName: sp.Name, key: batch.Key(sp.Name, sp.Src), tgt: tgt,
 		pool:   newSessionPool(tgt.Gen, s.opts.PoolSize),
 		oracle: oracle.New(tgt.Mod)}
-	s.targets[name] = mt
+	s.targets[sp.Name] = mt
 	s.registerPoolMetrics(mt)
 	return mt, nil
 }
@@ -492,7 +481,7 @@ func (s *Server) buildMux() {
 	mux.Handle("/metrics", s.instrument("/metrics", s.handleMetrics))
 	mux.Handle("/v1/traces", s.instrument("/v1/traces", s.handleTraces))
 	mux.Handle(blob.ArtifactPathPrefix,
-		s.instrument("/v1/artifacts", s.traceArtifacts(blob.ArtifactHandler(s.artifacts, s.opts.MaxBodyBytes))))
+		s.instrument("/v1/artifacts", s.traceArtifacts(blob.ArtifactHandler(s.artifacts, maxBodyBytes))))
 	if s.opts.EnablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -675,7 +664,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.finishTrace(tr, reqSpan, failMode, time.Since(t0)) }()
 
 	var req CompileRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		s.stats.Failed.Add(1)
 		failMode = "bad-request"
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
@@ -798,7 +787,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.finishTrace(tr, reqSpan, failMode, time.Since(t0)) }()
 
 	var req BatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		failMode = "bad-request"
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return

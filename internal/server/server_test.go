@@ -12,6 +12,7 @@ import (
 
 	"cogg/internal/batch"
 	"cogg/internal/faultinject"
+	"cogg/specs"
 )
 
 func TestCompileIF(t *testing.T) {
@@ -144,6 +145,35 @@ func TestUnknownSpecAndLang(t *testing.T) {
 	}
 	if status, _ := compile(t, ts, CompileRequest{Lang: "fortran", Source: "x"}); status != http.StatusBadRequest {
 		t.Fatalf("unknown lang: status %d, want 400", status)
+	}
+}
+
+// TestDefaultSpecAliases: a daemon whose default spec was loaded from a
+// file path (as `cogd -spec specs/amdahl470.cogg` loads it) serves
+// every alias of that spec from the one default target — one module,
+// built once — while the path itself stays unservable.
+func TestDefaultSpecAliases(t *testing.T) {
+	sp, err := specs.Load("../../specs/amdahl470.cogg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Options{SpecName: sp.Name, SpecSrc: sp.Src})
+	for _, name := range []string{"", "amdahl470", "amdahl470.cogg"} {
+		if status, resp := compile(t, ts, CompileRequest{Lang: "if", Source: goodIF, Spec: name}); status != http.StatusOK {
+			t.Fatalf("spec %q: status %d (failure: %+v)", name, status, resp.Failure)
+		}
+	}
+	if status, _ := compile(t, ts, CompileRequest{Lang: "if", Source: goodIF, Spec: "../../specs/amdahl470.cogg"}); status != http.StatusBadRequest {
+		t.Errorf("file-path spec: status %d, want 400", status)
+	}
+	s.tmu.Lock()
+	targets := len(s.targets)
+	s.tmu.Unlock()
+	if targets != 1 {
+		t.Errorf("%d targets, want 1", targets)
+	}
+	if got := parseSamples(t, scrape(t, ts))["cogg_cache_misses_total"]; got != 1 {
+		t.Errorf("cogg_cache_misses_total = %v, want 1", got)
 	}
 }
 

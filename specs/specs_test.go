@@ -1,6 +1,9 @@
 package specs_test
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -76,4 +79,72 @@ func TestSpecsShareTheIF(t *testing.T) {
 	if !strings.Contains(specs.Amdahl470, "push_odd") {
 		t.Error("full spec lost the even/odd idioms")
 	}
+}
+
+// TestLookupAndLoad: every embedded name and alias resolves to its
+// canonical file name and source, Risc marks risc32 alone, a file path
+// is named by its base name, unknown names fail, and Lookup never
+// touches the file system.
+func TestLookupAndLoad(t *testing.T) {
+	dir := t.TempDir()
+	custom := filepath.Join(dir, "custom.cogg")
+	if err := os.WriteFile(custom, []byte("custom spec bytes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A file shadowing an embedded name in the working directory: the
+	// embedded spec must still win.
+	if err := os.WriteFile(filepath.Join(dir, "amdahl470.cogg"), []byte("shadow"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	shipped, err := filepath.Abs("amdahl470.cogg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Chdir(dir)
+
+	full := specs.Spec{Name: "amdahl470.cogg", Src: specs.Amdahl470}
+	min := specs.Spec{Name: "amdahl-minimal.cogg", Src: specs.AmdahlMinimal}
+	risc := specs.Spec{Name: "risc32.cogg", Src: specs.Risc32, Risc: true}
+	cases := []struct {
+		arg      string
+		want     specs.Spec
+		lookupOK bool // false: Lookup must fail (Load may still succeed)
+		loadOK   bool
+	}{
+		{"amdahl470", full, true, true},
+		{"amdahl470.cogg", full, true, true},
+		{"amdahl-minimal", min, true, true},
+		{"amdahl-minimal.cogg", min, true, true},
+		{"minimal", min, true, true},
+		{"minimal.cogg", min, true, true},
+		{"risc32", risc, true, true},
+		{"risc32.cogg", risc, true, true},
+		{custom, specs.Spec{Name: "custom.cogg", Src: "custom spec bytes"}, false, true},
+		{shipped, full, false, true},
+		{"custom.cogg", specs.Spec{Name: "custom.cogg", Src: "custom spec bytes"}, false, true},
+		{"", specs.Spec{}, false, false},
+		{"no-such-spec", specs.Spec{}, false, false},
+		{"../etc/passwd", specs.Spec{}, false, false},
+	}
+	for _, c := range cases {
+		got, err := specs.Lookup(c.arg)
+		switch {
+		case c.lookupOK && (err != nil || got != c.want):
+			t.Errorf("Lookup(%q) = %s, %v; want %s", c.arg, brief(got), err, brief(c.want))
+		case !c.lookupOK && err == nil:
+			t.Errorf("Lookup(%q) = %s, want an error (Lookup never reads files)", c.arg, brief(got))
+		}
+		got, err = specs.Load(c.arg)
+		switch {
+		case c.loadOK && (err != nil || got != c.want):
+			t.Errorf("Load(%q) = %s, %v; want %s", c.arg, brief(got), err, brief(c.want))
+		case !c.loadOK && err == nil:
+			t.Errorf("Load(%q) = %s, want an error", c.arg, brief(got))
+		}
+	}
+}
+
+// brief prints a Spec without its (long) source.
+func brief(s specs.Spec) string {
+	return fmt.Sprintf("{%s %d bytes risc=%v}", s.Name, len(s.Src), s.Risc)
 }
