@@ -14,6 +14,7 @@
 //	E9 BenchmarkCompressionAblation      — dense vs comb vs row-merged tables
 //	E10 BenchmarkBatchThroughput         — batch service: worker scaling,
 //	                                       cold vs. warm table-module cache
+//	E15 BenchmarkListing                 — rendering the assembly listing
 //
 // Run with: go test -bench=. -benchmem
 package cogg_test
@@ -28,6 +29,7 @@ import (
 	"testing"
 	"time"
 
+	"cogg/internal/asm"
 	"cogg/internal/batch"
 	"cogg/internal/codegen"
 	"cogg/internal/core"
@@ -35,6 +37,7 @@ import (
 	"cogg/internal/ifopt"
 	"cogg/internal/obs"
 	"cogg/internal/pascal"
+	"cogg/internal/pascal/pascaltest"
 	"cogg/internal/rt370"
 	"cogg/internal/shaper"
 	"cogg/internal/tables"
@@ -452,6 +455,29 @@ func BenchmarkCodeGenerationRateObserved(b *testing.B) {
 	}
 	if err := obs.LintExposition(sb.String()); err != nil {
 		b.Fatalf("registry exposition invalid after load: %v", err)
+	}
+}
+
+// listingSink keeps BenchmarkListing's result alive.
+var listingSink string
+
+// BenchmarkListing renders the assembly listing of 40 compiled random
+// programs (pascaltest seeds 1-40), one listing per op. Its allocs/op
+// is gated: the label slice, the output buffer and the returned string.
+func BenchmarkListing(b *testing.B) {
+	t := fullTarget(b)
+	var progs []*asm.Program
+	for seed := int64(1); seed <= 40; seed++ {
+		c, err := t.Compile("fuzz.pas", pascaltest.Program(seed), shaper.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs = append(progs, c.Prog)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		listingSink = asm.Listing(progs[i%len(progs)], t.Machine)
 	}
 }
 

@@ -63,7 +63,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("%-14X %s\n", b, m.Format(&instrs[i]))
+		fmt.Printf("%-14X %s\n", b, m.AppendFormat(nil, &instrs[i]))
 	}
 }
 

@@ -25,8 +25,10 @@
 //	-breaker-cooldown D   open-breaker cooldown before the half-open
 //	                      probe (default 1s)
 //	-local                serve requests locally when no replica can
-//	-spec NAME            local tier's spec (as cogd -spec: an embedded
-//	                      name, the list is specs.Lookup's, or a path)
+//	-spec NAME            the replicas' default spec (as cogd -spec: an
+//	                      embedded name, the list is specs.Lookup's, or a
+//	                      path): requests naming no spec route with
+//	                      requests naming it; also the local tier's spec
 //	-risc                 local tier's risc32 configuration (implied by
 //	                      -spec risc32)
 //	-cache DIR            local tier's table-module cache directory
@@ -70,7 +72,7 @@ func main() {
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive failures that open a breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", time.Second, "open-breaker cooldown")
 	local := flag.Bool("local", false, "fall back to in-process compilation when no replica can answer")
-	specName := flag.String("spec", "amdahl470", "local tier's code generator specification")
+	specName := flag.String("spec", "amdahl470", "replicas' default and local tier's code generator specification")
 	risc := flag.Bool("risc", false, "local tier's risc32 target configuration")
 	cacheDir := flag.String("cache", "", "local tier's table-module cache directory")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
@@ -140,6 +142,7 @@ func main() {
 	lg.Printf("cogdfront: serving %d replicas (%s) on %s", len(urls), strings.Join(cl.Replicas(), ", "), ln.Addr())
 
 	front := cluster.NewFront(cl)
+	front.SetDefaultSpec(*specName)
 	// The bound address distinguishes this front in stitched traces.
 	front.SetProcess("cogdfront@" + ln.Addr().String())
 	httpSrv := &http.Server{Handler: front.Handler()}

@@ -7,9 +7,11 @@
 package asm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
+	"unicode/utf8"
 )
 
 // OpdKind classifies instruction operands.
@@ -218,43 +220,109 @@ type Machine interface {
 	// Encode produces the final bytes of one laid-out instruction.
 	// Pseudo instructions expand to their full sequences.
 	Encode(p *Program, in *Instr) ([]byte, error)
-	// Format renders one instruction in the target assembly syntax.
-	Format(in *Instr) string
+	// AppendFormat appends one instruction, rendered in the target
+	// assembly syntax, to dst and returns the extended buffer.
+	AppendFormat(dst []byte, in *Instr) []byte
 }
 
-// Listing renders the program as a human-readable assembly listing.
-func Listing(p *Program, m Machine) string {
-	labelAt := map[int][]int64{}
-	for id, ix := range p.Labels {
-		if id >= 0 {
-			labelAt[ix] = append(labelAt[ix], id)
-		}
+// Pad appends spaces to dst until the text from dst[start:] on is width
+// characters wide, counting runes as fmt's %-*s does. Text already that
+// wide gets nothing.
+func Pad(dst []byte, start, width int) []byte {
+	for n := utf8.RuneCount(dst[start:]); n < width; n++ {
+		dst = append(dst, ' ')
 	}
+	return dst
+}
+
+// AppendLabel appends the listing name of label id, "L<id>".
+func AppendLabel(dst []byte, id int64) []byte {
+	return strconv.AppendInt(append(dst, 'L'), id, 10)
+}
+
+// labelAt is one listed label: id labels the position before
+// instruction ix.
+type labelAt struct {
+	ix int
+	id int64
+}
+
+// Listing renders the program as a human-readable assembly listing: a
+// header line, then one line per instruction (address, text padded to
+// 36 columns when a comment follows, comment), with an "L<id>:" line
+// before each labelled position. Negative (generator-internal) label
+// ids are not listed.
+func Listing(p *Program, m Machine) string {
 	// Labels sharing an instruction print in id order; map iteration
 	// order must not leak into the listing (it is diffed byte-for-byte
 	// across runs and processes).
-	for _, ids := range labelAt {
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "* %s  (%s, origin %#x)\n", p.Name, m.Name(), p.Origin)
-	for i := range p.Instrs {
-		in := &p.Instrs[i]
-		for _, id := range labelAt[i] {
-			fmt.Fprintf(&b, "L%d:\n", id)
+	lbls := make([]labelAt, 0, len(p.Labels))
+	for id, ix := range p.Labels {
+		if id >= 0 && ix >= 0 && ix <= len(p.Instrs) {
+			lbls = append(lbls, labelAt{ix, id})
 		}
+	}
+	slices.SortFunc(lbls, func(a, b labelAt) int {
+		if a.ix != b.ix {
+			return cmp.Compare(a.ix, b.ix)
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+
+	b := make([]byte, 0, 64+len(p.Name)+listingLineBytes*len(p.Instrs)+8*len(lbls))
+	b = append(b, "* "...)
+	b = append(b, p.Name...)
+	b = append(b, "  ("...)
+	b = append(b, m.Name()...)
+	b = append(b, ", origin "...)
+	b = appendHex(b, p.Origin, "0x", 0)
+	b = append(b, ")\n"...)
+	for i := range p.Instrs {
+		for len(lbls) > 0 && lbls[0].ix == i {
+			b = append(AppendLabel(b, lbls[0].id), ":\n"...)
+			lbls = lbls[1:]
+		}
+		in := &p.Instrs[i]
 		if in.Pseudo == LabelMark {
 			continue
 		}
-		text := m.Format(in)
+		b = appendHex(b, in.Addr, "", 8)
+		b = append(b, "  "...)
+		start := len(b)
+		b = m.AppendFormat(b, in)
 		if in.Comment != "" {
-			fmt.Fprintf(&b, "%08x  %-36s %s\n", in.Addr, text, in.Comment)
-		} else {
-			fmt.Fprintf(&b, "%08x  %s\n", in.Addr, text)
+			b = append(Pad(b, start, 36), ' ')
+			b = append(b, in.Comment...)
 		}
+		b = append(b, '\n')
 	}
-	for _, id := range labelAt[len(p.Instrs)] {
-		fmt.Fprintf(&b, "L%d:\n", id)
+	for len(lbls) > 0 && lbls[0].ix == len(p.Instrs) {
+		b = append(AppendLabel(b, lbls[0].id), ":\n"...)
+		lbls = lbls[1:]
 	}
-	return b.String()
+	return string(b)
+}
+
+// listingLineBytes sizes Listing's buffer: an instruction line is the
+// 10-byte address field, about 20 bytes of text, and the newline;
+// commented lines run longer and are rare.
+const listingLineBytes = 40
+
+// appendHex appends v in lower-case hexadecimal after prefix,
+// zero-padded to width digits counting a minus sign, as fmt's %08x
+// (prefix "", width 8) and %#x (prefix "0x", width 0) render it.
+func appendHex(dst []byte, v int, prefix string, width int) []byte {
+	u := uint64(v)
+	if v < 0 {
+		dst = append(dst, '-')
+		u = -u
+		width--
+	}
+	dst = append(dst, prefix...)
+	var digits [16]byte
+	d := strconv.AppendUint(digits[:0], u, 16)
+	for n := len(d); n < width; n++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, d...)
 }

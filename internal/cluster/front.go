@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"strconv"
 	"strings"
 
 	"cogg/internal/fleet"
 	"cogg/internal/obs"
+	"cogg/specs"
 )
 
 // Front is the reverse-proxy tier over a Client: the handler cogdfront
@@ -25,11 +27,39 @@ type Front struct {
 	c       *Client
 	ring    *obs.Ring
 	process string
+	// defaultKey is the ring key of a request that names no spec.
+	defaultKey string
 }
 
-// NewFront wraps a Client.
+// NewFront wraps a Client. Requests naming no spec route as amdahl470,
+// cogd's default; SetDefaultSpec changes that.
 func NewFront(c *Client) *Front {
-	return &Front{c: c, ring: obs.NewRing(256), process: "cogdfront"}
+	return &Front{c: c, ring: obs.NewRing(256), process: "cogdfront", defaultKey: canonicalSpec("amdahl470")}
+}
+
+// SetDefaultSpec names the spec the replicas serve to a request that
+// names none, as cogd's -spec takes it (an embedded name or a file
+// path), so those requests route with the ones naming it. Call before
+// serving traffic.
+func (f *Front) SetDefaultSpec(arg string) { f.defaultKey = canonicalSpec(filepath.Base(arg)) }
+
+// routeKey is the ring key of a request naming spec. Every alias of one
+// table module keys alike, so they warm one replica's caches.
+func (f *Front) routeKey(spec string) string {
+	if spec == "" {
+		return f.defaultKey
+	}
+	return canonicalSpec(spec)
+}
+
+// canonicalSpec is the name specs.Lookup resolves a spec to, or the
+// name itself when it resolves to none (a file spec is known by its
+// base name).
+func canonicalSpec(name string) string {
+	if sp, err := specs.Lookup(name); err == nil {
+		return sp.Name
+	}
+	return name
 }
 
 // SetProcess names this front in exported trace fragments
@@ -139,7 +169,7 @@ func (f *Front) handleArtifacts(w http.ResponseWriter, r *http.Request) {
 	http.Error(w, "artifact not found in fleet", http.StatusNotFound)
 }
 
-// specKeyCompile pulls the routing key out of a compile body.
+// specKeyCompile pulls the spec name out of a compile body.
 func specKeyCompile(body []byte) string {
 	var req struct {
 		Spec string `json:"spec"`
@@ -177,7 +207,7 @@ func (f *Front) proxy(w http.ResponseWriter, r *http.Request, path string, keyFn
 	tr, span, ctx := f.startTrace(r, "proxy:"+path)
 	defer f.finishTrace(tr, span)
 	w.Header().Set(obs.TraceIDHeader, tr.ID())
-	res, err := f.c.Do(ctx, path, keyFn(body), body)
+	res, err := f.c.Do(ctx, path, f.routeKey(keyFn(body)), body)
 	if err != nil {
 		tr.SetFailure("no-answer")
 		writeFrontError(w, http.StatusBadGateway, err)
@@ -231,7 +261,7 @@ func (f *Front) handleGrammarSession(w http.ResponseWriter, r *http.Request) {
 	tr, span, ctx := f.startTrace(r, "proxy:/v1/grammar/session")
 	defer f.finishTrace(tr, span)
 	w.Header().Set(obs.TraceIDHeader, tr.ID())
-	res, err := f.c.DoNoHedge(ctx, "/v1/grammar/session", specKeyCompile(body), body)
+	res, err := f.c.DoNoHedge(ctx, "/v1/grammar/session", f.routeKey(specKeyCompile(body)), body)
 	if err != nil {
 		tr.SetFailure("no-answer")
 		writeFrontError(w, http.StatusBadGateway, err)

@@ -329,3 +329,52 @@ func TestFrontArtifactPassthrough(t *testing.T) {
 		t.Errorf("PUT via front: %d, want 405", resp3.StatusCode)
 	}
 }
+
+// TestFrontRoutesSpecAliasesToOneReplica: the front keys the ring by
+// the canonical spec name, so "", "amdahl470" and "amdahl470.cogg" —
+// one table module on every replica — warm one replica, not three.
+func TestFrontRoutesSpecAliasesToOneReplica(t *testing.T) {
+	keys := NewFront(nil)
+	for spec, want := range map[string]string{
+		"":                    "amdahl470.cogg",
+		"amdahl470":           "amdahl470.cogg",
+		"amdahl470.cogg":      "amdahl470.cogg",
+		"minimal":             "amdahl-minimal.cogg",
+		"amdahl-minimal.cogg": "amdahl-minimal.cogg",
+		"risc32":              "risc32.cogg",
+		"custom.cogg":         "custom.cogg",
+	} {
+		if got := keys.routeKey(spec); got != want {
+			t.Errorf("routeKey(%q) = %q, want %q", spec, got, want)
+		}
+	}
+	keys.SetDefaultSpec("specs/risc32.cogg")
+	if got := keys.routeKey(""); got != "risc32.cogg" {
+		t.Errorf("after SetDefaultSpec(specs/risc32.cogg), routeKey(\"\") = %q", got)
+	}
+
+	f := newFleet(t, 4)
+	cl, err := New(Options{Targets: f.urls, ProbeInterval: -1, HedgeAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	fts := httptest.NewServer(NewFront(cl).Handler())
+	t.Cleanup(fts.Close)
+	owner := cl.Owner("amdahl470.cogg")
+	for _, spec := range []string{"", "amdahl470", "amdahl470.cogg"} {
+		r := postJSON(t, fts.URL+"/v1/compile",
+			server.CompileRequest{Name: "alias.if", Lang: "if", Spec: spec, Source: goodIF}, nil)
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("compile with spec %q: %d", spec, r.StatusCode)
+		}
+		if got := r.Header.Get("X-Cogd-Replica"); got != owner {
+			t.Errorf("compile with spec %q answered by %s, want %s", spec, got, owner)
+		}
+		r = postJSON(t, fts.URL+"/v1/batch", server.BatchRequest{Units: []server.CompileRequest{
+			{Name: "alias.if", Lang: "if", Spec: spec, Source: goodIF}}}, nil)
+		if got := r.Header.Get("X-Cogd-Replica"); r.StatusCode != http.StatusOK || got != owner {
+			t.Errorf("batch with spec %q: %d from %s, want 200 from %s", spec, r.StatusCode, got, owner)
+		}
+	}
+}

@@ -11,7 +11,7 @@ package risc32
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"cogg/internal/asm"
 )
@@ -128,32 +128,41 @@ func word(v uint32) []byte {
 	return []byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
 }
 
-// Format implements asm.Machine.
-func (m *Machine) Format(in *asm.Instr) string {
+// AppendFormat implements asm.Machine.
+func (m *Machine) AppendFormat(dst []byte, in *asm.Instr) []byte {
 	switch in.Pseudo {
 	case asm.LabelMark:
-		return fmt.Sprintf("L%d:", in.Label)
+		return append(asm.AppendLabel(dst, in.Label), ':')
 	case asm.AddrConst:
-		return fmt.Sprintf(".word L%d", in.Label)
+		return asm.AppendLabel(append(dst, ".word "...), in.Label)
 	case asm.Branch:
-		return fmt.Sprintf("b.%d  L%d", in.Cond, in.Label)
+		dst = strconv.AppendInt(append(dst, "b."...), in.Cond, 10)
+		return asm.AppendLabel(append(dst, "  "...), in.Label)
 	case asm.CaseLoad:
-		return fmt.Sprintf("case  L%d[r%d],r%d", in.Label, in.IndexR, in.Scratch)
+		dst = asm.AppendLabel(append(dst, "case  "...), in.Label)
+		dst = appendReg(append(dst, '['), in.IndexR)
+		return appendReg(append(dst, "],"...), in.Scratch)
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-5s ", in.Op)
+	start := len(dst)
+	dst = append(asm.Pad(append(dst, in.Op...), start, 5), ' ')
 	for i, o := range in.Opds {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
 		switch o.Kind {
 		case asm.Reg:
-			fmt.Fprintf(&b, "r%d", o.Reg)
+			dst = appendReg(dst, o.Reg)
 		case asm.Imm:
-			fmt.Fprintf(&b, "%d", o.Val)
+			dst = strconv.AppendInt(dst, o.Val, 10)
 		case asm.Mem:
-			fmt.Fprintf(&b, "%d(r%d)", o.Val, o.Base)
+			dst = strconv.AppendInt(dst, o.Val, 10)
+			dst = append(appendReg(append(dst, '('), o.Base), ')')
 		}
 	}
-	return b.String()
+	return dst
+}
+
+// appendReg appends register r as "r<n>".
+func appendReg(dst []byte, r int) []byte {
+	return strconv.AppendInt(append(dst, 'r'), int64(r), 10)
 }

@@ -94,11 +94,11 @@ func TestBranchRelative(t *testing.T) {
 func TestFormat(t *testing.T) {
 	m := &Machine{}
 	in := asm.Instr{Op: "add", Opds: []asm.Operand{asm.R(1), asm.R(2), asm.R(3)}}
-	if got := strings.TrimSpace(m.Format(&in)); got != "add   r1,r2,r3" {
+	if got := strings.TrimSpace(string(m.AppendFormat(nil, &in))); got != "add   r1,r2,r3" {
 		t.Errorf("Format = %q", got)
 	}
 	br := asm.Instr{Pseudo: asm.Branch, Cond: 8, Label: 3}
-	if got := m.Format(&br); !strings.Contains(got, "L3") {
+	if got := string(m.AppendFormat(nil, &br)); !strings.Contains(got, "L3") {
 		t.Errorf("branch format %q", got)
 	}
 }

@@ -83,7 +83,7 @@ func TestQuickFormatAssembleRoundTrip(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			text := m.Format(&in)
+			text := string(m.AppendFormat(nil, &in))
 			// Register-count shifts format as 0(rN); assemble handles it.
 			b2, err := AssembleTo(text)
 			if err != nil {

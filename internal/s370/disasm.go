@@ -84,7 +84,7 @@ func DisassembleAll(m *Machine, buf []byte, origin int) string {
 			pos++
 			continue
 		}
-		fmt.Fprintf(&b, "%08x  %s\n", origin+pos, m.Format(&in))
+		fmt.Fprintf(&b, "%08x  %s\n", origin+pos, m.AppendFormat(nil, &in))
 		pos += size
 	}
 	return b.String()

@@ -2,7 +2,7 @@ package s370
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"cogg/internal/asm"
 )
@@ -293,65 +293,74 @@ func regOrMask(opds []asm.Operand, i int, mask bool) (int, bool) {
 	return regAt(opds, i)
 }
 
-// Format implements asm.Machine: assembler-style rendering.
-func (m *Machine) Format(in *asm.Instr) string {
+// AppendFormat implements asm.Machine: assembler-style rendering.
+func (m *Machine) AppendFormat(dst []byte, in *asm.Instr) []byte {
 	switch in.Pseudo {
 	case asm.LabelMark:
-		return fmt.Sprintf("L%d equ *", in.Label)
+		return append(asm.AppendLabel(dst, in.Label), " equ *"...)
 	case asm.AddrConst:
-		return fmt.Sprintf("dc    a(L%d)", in.Label)
+		return append(asm.AppendLabel(append(dst, "dc    a("...), in.Label), ')')
 	case asm.Branch:
-		form := "bc "
 		if in.Long {
-			form = "bc*" // long form: load target address, branch via register
+			dst = append(dst, "bc*   "...) // long form: load target address, branch via register
+		} else {
+			dst = append(dst, "bc    "...)
 		}
-		return fmt.Sprintf("%s   %d,L%d", form, in.Cond, in.Label)
+		dst = strconv.AppendInt(dst, in.Cond, 10)
+		return asm.AppendLabel(append(dst, ','), in.Label)
 	case asm.CaseLoad:
-		return fmt.Sprintf("case  L%d(r%d),r%d", in.Label, in.IndexR, in.Scratch)
+		dst = asm.AppendLabel(append(dst, "case  "...), in.Label)
+		dst = appendReg(append(dst, '('), in.IndexR)
+		return appendReg(append(dst, "),"...), in.Scratch)
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-5s ", in.Op)
+	start := len(dst)
+	dst = append(asm.Pad(append(dst, in.Op...), start, 5), ' ')
+	info := Ops[in.Op]
 	for i, o := range in.Opds {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(formatOperand(in, i, o))
+		dst = appendOperand(dst, info, i, o)
 	}
-	return b.String()
+	return dst
 }
 
-func formatOperand(in *asm.Instr, i int, o asm.Operand) string {
-	info, _ := Lookup(in.Op)
+func appendOperand(dst []byte, info OpInfo, i int, o asm.Operand) []byte {
 	switch o.Kind {
 	case asm.Reg:
-		return fmt.Sprintf("r%d", o.Reg)
+		return appendReg(dst, o.Reg)
 	case asm.Imm:
-		if i == 0 && info.Mask {
-			return fmt.Sprint(o.Val)
-		}
 		// Specification constants in register positions (stack_base in
-		// `stm r14,stack_base,...`) list as registers.
-		if regPosition(info, i) && o.Val >= 0 && o.Val <= 15 {
-			return fmt.Sprintf("r%d", o.Val)
+		// `stm r14,stack_base,...`) list as registers; a mask lists as
+		// its value.
+		if !(i == 0 && info.Mask) && regPosition(info, i) && o.Val >= 0 && o.Val <= 15 {
+			return appendReg(dst, int(o.Val))
 		}
-		return fmt.Sprint(o.Val)
+		return strconv.AppendInt(dst, o.Val, 10)
 	case asm.Mem:
+		dst = strconv.AppendInt(dst, o.Val, 10)
 		switch {
 		case o.Index != 0 && o.Base != 0:
-			return fmt.Sprintf("%d(r%d,r%d)", o.Val, o.Index, o.Base)
+			dst = appendReg(append(dst, '('), o.Index)
+			return append(appendReg(append(dst, ','), o.Base), ')')
 		case o.Index != 0:
-			return fmt.Sprintf("%d(r%d,r0)", o.Val, o.Index)
+			return append(appendReg(append(dst, '('), o.Index), ",r0)"...)
 		case o.Base != 0:
-			return fmt.Sprintf("%d(r%d)", o.Val, o.Base)
-		default:
-			return fmt.Sprint(o.Val)
+			return append(appendReg(append(dst, '('), o.Base), ')')
 		}
+		return dst
 	case asm.MemLen:
-		return fmt.Sprintf("%d(%d,r%d)", o.Val, o.Len, o.Base)
+		dst = strconv.AppendInt(append(strconv.AppendInt(dst, o.Val, 10), '('), o.Len, 10)
+		return append(appendReg(append(dst, ','), o.Base), ')')
 	case asm.LabelOp:
-		return fmt.Sprintf("L%d", o.Val)
+		return asm.AppendLabel(dst, o.Val)
 	}
-	return "?"
+	return append(dst, '?')
+}
+
+// appendReg appends register r as "r<n>".
+func appendReg(dst []byte, r int) []byte {
+	return strconv.AppendInt(append(dst, 'r'), int64(r), 10)
 }
 
 // regPosition reports whether operand i of the instruction is a register

@@ -181,8 +181,8 @@ func TestFormat(t *testing.T) {
 		{asm.Instr{Pseudo: asm.AddrConst, Label: 2}, "dc    a(L2)"},
 	}
 	for _, c := range cases {
-		if got := strings.TrimRight(m.Format(&c.in), " "); got != c.want {
-			t.Errorf("Format = %q, want %q", got, c.want)
+		if got := strings.TrimRight(string(m.AppendFormat(nil, &c.in)), " "); got != c.want {
+			t.Errorf("AppendFormat = %q, want %q", got, c.want)
 		}
 	}
 }

@@ -1,12 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"cogg/internal/batch"
@@ -389,15 +389,15 @@ func (s *Server) executePascal(mt *modTarget, ps []*pending) {
 			resp.Derivation = explainUnit(p)
 		}
 		if p.deck {
-			var b strings.Builder
-			if err := c.Deck.WriteCards(&b); err != nil {
+			var buf bytes.Buffer
+			if err := c.Deck.WriteCards(&buf); err != nil {
 				p.finish(http.StatusInternalServerError, CompileResponse{
 					Name:    p.name,
 					Failure: &Failure{Mode: batch.FailIO.String(), Message: "rendering deck: " + err.Error()},
 				})
 				continue
 			}
-			resp.Deck = base64.StdEncoding.EncodeToString([]byte(b.String()))
+			resp.Deck = base64.StdEncoding.EncodeToString(buf.Bytes())
 			if p.deckCacheable() {
 				s.deckCachePut(mt, p, resp)
 			}
