@@ -20,6 +20,7 @@
 package cogg_test
 
 import (
+	"context"
 	"fmt"
 	"io/fs"
 	"os"
@@ -478,6 +479,38 @@ func BenchmarkListing(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		listingSink = asm.Listing(progs[i%len(progs)], t.Machine)
+	}
+}
+
+// compiledSink keeps BenchmarkCompilePooled's result alive.
+var compiledSink *driver.Compiled
+
+// BenchmarkCompilePooled runs the pipeline entry cogd serves Pascal
+// through, Target.CompileWith, on one reused session over 40 random
+// programs (pascaltest seeds 1-40) shaped as the daemon shapes them,
+// one compile per op. Code generation on a warm session allocates
+// nothing, so its allocs/op, which is gated, is the Pascal front end,
+// shaper, layout and loader.
+func BenchmarkCompilePooled(b *testing.B) {
+	t := fullTarget(b)
+	ses, err := t.Gen.NewSession()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var srcs []string
+	for seed := int64(1); seed <= 40; seed++ {
+		srcs = append(srcs, pascaltest.Program(seed))
+	}
+	ctx := context.Background()
+	opt := shaper.Options{StatementRecords: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := t.CompileWith(ctx, ses, "fuzz.pas", srcs[i%len(srcs)], opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		compiledSink = c
 	}
 }
 

@@ -47,6 +47,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -228,26 +229,36 @@ recorded up to the block, then the diagnostics, and exits nonzero.
 		text = string(b)
 	}
 
+	// Recording runs on a session of its own; its entries survive a
+	// blocked parse, covering the instructions emitted before the block.
+	ses, err := tgt.Gen.NewSession()
+	if err != nil {
+		fatal(err)
+	}
+	ses.EnableProvenance(true)
 	var prog *asm.Program
-	var prov []codegen.ProvEntry
 	var genErr error
 	if *pascalIn {
-		prog, prov, _, genErr = tgt.ExplainSource(unitName, text, shaper.Options{StatementRecords: true})
+		var c *driver.Compiled
+		c, genErr = tgt.CompileWith(context.Background(), ses, unitName, text, shaper.Options{StatementRecords: true})
+		if c != nil {
+			prog = c.Prog
+		}
 	} else {
 		toks, err := ir.ParseTokens(text)
 		if err != nil {
 			fatal(err)
 		}
-		prog, prov, _, genErr = tgt.Explain(unitName, toks)
+		prog, _, genErr = ses.Generate(unitName, toks)
 	}
-	if *listing && genErr == nil && prog != nil {
+	if *listing && genErr == nil {
 		if err := labels.Layout(prog, tgt.Machine); err != nil {
 			fatal(err)
 		}
 		fmt.Print(asm.Listing(prog, tgt.Machine))
 		fmt.Println()
 	}
-	fmt.Print(codegen.FormatProvenance(prov))
+	fmt.Print(codegen.FormatProvenance(ses.Provenance()))
 	if genErr != nil {
 		fmt.Fprintf(os.Stderr, "cogg explain: %s: %v\n", unitName, genErr)
 		os.Exit(1)

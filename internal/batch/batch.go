@@ -281,33 +281,18 @@ type Result struct {
 // units: results land at their input index whatever order the workers
 // finish in, so batch output is deterministic.
 //
-// Units are isolated: each runs under recover with the service's
-// per-unit deadline and transient-fault retry, so one unit that
-// panics, stalls, or hits a resource limit yields a structured per-unit
-// error while every other unit completes normally.
+// Units are isolated: each runs inside RunUnit's envelope, so one unit
+// that panics, stalls, or hits a resource limit yields a structured
+// per-unit error while every other unit completes normally. Every unit
+// translates on a fresh session, so each Compiled may be kept.
 func (s *Service) CompileBatch(tgt *driver.Target, units []Unit) []Result {
 	results := make([]Result, len(units))
-	s.run(len(units), func(i int) {
-		start := time.Now()
-		m0 := s.meterStart()
-		var c *driver.Compiled
-		var err error
-		profiling.Phase("codegen", func() {
-			ctx := ctxOf(units[i].Ctx)
-			c, err = attempt(ctx, s, units[i].Name, func() (*driver.Compiled, error) {
-				return tgt.CompileCtx(ctx, units[i].Name, units[i].Source, units[i].Opt)
-			})
-		})
-		s.meterEnd(m0)
-		s.Stats.CodegenNanos.Add(int64(time.Since(start)))
-		results[i] = Result{Name: units[i].Name, Compiled: c, Err: err, Mode: Classify(err)}
-		if err != nil {
-			s.Stats.noteFailure(results[i].Mode)
-			return
-		}
-		s.Stats.UnitsCompiled.Add(1)
-		s.Stats.Instructions.Add(int64(c.Prog.InstructionCount()))
-		s.Stats.BytesEmitted.Add(int64(c.Prog.CodeSize))
+	s.Each(len(units), func(i int) {
+		u := units[i]
+		c, mode, err := RunUnit(s, u.Ctx, u.Name, func() (*driver.Compiled, error) {
+			return tgt.CompileWith(ctxOf(u.Ctx), tgt.Gen, u.Name, u.Source, u.Opt)
+		}, func(c *driver.Compiled) (int, int) { return c.Prog.InstructionCount(), c.Prog.CodeSize })
+		results[i] = Result{Name: u.Name, Compiled: c, Err: err, Mode: mode}
 	})
 	return results
 }
@@ -338,43 +323,48 @@ type IFResult struct {
 // concurrently, returning laid-out listings in input order. Units are
 // isolated the same way CompileBatch's are.
 func (s *Service) TranslateBatch(tgt *driver.Target, units []IFUnit) []IFResult {
-	return s.TranslateBatchWith(units, func(u IFUnit) IFResult {
-		return Translate(tgt.Gen, tgt.Machine, u)
-	})
-}
-
-// TranslateBatchWith is TranslateBatch with a caller-supplied translator
-// per unit — the hook the cogd serving layer uses to drive pooled
-// reusable sessions (through Translate) over the service's workers,
-// per-unit isolation, and statistics. The translator runs inside the same
-// recover/deadline/retry envelope as the default one, so it must be
-// safe for concurrent calls and may be re-invoked after a transient
-// fault.
-func (s *Service) TranslateBatchWith(units []IFUnit, translate func(IFUnit) IFResult) []IFResult {
 	results := make([]IFResult, len(units))
-	s.run(len(units), func(i int) {
-		start := time.Now()
-		m0 := s.meterStart()
-		var r IFResult
-		var err error
-		profiling.Phase("codegen", func() {
-			r, err = attempt(ctxOf(units[i].Ctx), s, units[i].Name, func() (IFResult, error) {
-				r := translate(units[i])
-				return r, r.Err
-			})
-		})
-		s.meterEnd(m0)
-		s.Stats.CodegenNanos.Add(int64(time.Since(start)))
-		r.Name, r.Err, r.Mode = units[i].Name, err, Classify(err)
+	s.Each(len(units), func(i int) {
+		u := units[i]
+		r, mode, err := RunUnit(s, u.Ctx, u.Name, func() (IFResult, error) {
+			r := Translate(tgt.Gen, tgt.Machine, u)
+			return r, r.Err
+		}, func(r IFResult) (int, int) { return r.Instructions, r.CodeBytes })
+		r.Name, r.Err, r.Mode = u.Name, err, mode
 		results[i] = r
-		if err != nil {
-			s.Stats.noteFailure(r.Mode)
-			return
-		}
-		s.Stats.UnitsCompiled.Add(1)
-		s.Stats.Instructions.Add(int64(r.Instructions))
 	})
 	return results
+}
+
+// RunUnit runs one compilation unit inside the envelope that
+// CompileBatch, TranslateBatch and the cogd server share. It times the
+// unit into Stats.CodegenNanos, meters its allocations under
+// Options.MeasureAllocs, and runs work under recover, the per-unit
+// deadline and transient-fault retry, so work may run more than once
+// and may be abandoned mid-flight (it must not write anything the
+// caller reads). ctx may be nil; its end cuts short a retry wait. A
+// successful unit adds the instruction and code-byte counts that size
+// reports to Stats; a failed one is counted under its FailureMode.
+func RunUnit[T any](s *Service, ctx context.Context, name string, work func() (T, error), size func(T) (instrs, codeBytes int)) (T, FailureMode, error) {
+	start := time.Now()
+	m0 := s.meterStart()
+	var v T
+	var err error
+	profiling.Phase("codegen", func() {
+		v, err = attempt(ctxOf(ctx), s, name, work)
+	})
+	s.meterEnd(m0)
+	s.Stats.CodegenNanos.Add(int64(time.Since(start)))
+	mode := Classify(err)
+	if err != nil {
+		s.Stats.noteFailure(mode)
+		return v, mode, err
+	}
+	instrs, codeBytes := size(v)
+	s.Stats.UnitsCompiled.Add(1)
+	s.Stats.Instructions.Add(int64(instrs))
+	s.Stats.BytesEmitted.Add(int64(codeBytes))
+	return v, mode, nil
 }
 
 // Translate tokenizes, generates, and lays out one IF stream on ses — a
@@ -421,8 +411,9 @@ func (s *Service) meterEnd(m0 uint64) {
 	s.Stats.AllocsMeasured.Add(1)
 }
 
-// run executes n indexed jobs on the bounded pool.
-func (s *Service) run(n int, job func(i int)) {
+// Each runs job(i) for every i in [0, n) on the bounded worker pool and
+// returns once all have run. Jobs normally wrap RunUnit.
+func (s *Service) Each(n int, job func(i int)) {
 	s.Stats.enqueue(n)
 	workers := s.workers
 	if workers > n {

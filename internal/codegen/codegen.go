@@ -296,6 +296,9 @@ func (s *Session) GenerateCtx(ctx context.Context, name string, toks []ir.Token)
 		start = time.Now()
 	}
 	err := r.parse()
+	// Drop the caller's token stream: a pooled session must not keep the
+	// last unit's IF alive until its next run.
+	r.input.toks = nil
 	rs := r.ra.RunStats()
 	r.res.RegAllocs = int(rs.Allocs)
 	r.res.Evictions = int(rs.Evictions)

@@ -8,8 +8,9 @@ import (
 )
 
 // EngineSession is the translation surface of a reusable Session, which
-// a Generator (a fresh session per call) also satisfies. batch.Translate
-// and the serving benchmark's layer replayer (perfbench) take it.
+// a Generator (a fresh session per call) also satisfies.
+// batch.Translate, driver.Target.CompileWith and the serving
+// benchmark's layer replayer (perfbench) take it.
 type EngineSession interface {
 	Generate(name string, toks []ir.Token) (*asm.Program, *Result, error)
 	GenerateCtx(ctx context.Context, name string, toks []ir.Token) (*asm.Program, *Result, error)

@@ -107,49 +107,44 @@ type Compiled struct {
 	Machine asm.Machine
 }
 
-// Compile runs the full pipeline over Pascal source.
+// Compile runs the full pipeline over Pascal source on a fresh code
+// generation session, so the result may be kept indefinitely.
 func (t *Target) Compile(name, source string, opt shaper.Options) (*Compiled, error) {
-	return t.CompileCtx(context.Background(), name, source, opt)
+	return t.CompileWith(context.Background(), t.Gen, name, source, opt)
 }
 
-// CompileCtx is Compile with a context: a trace attached via
-// obs.ContextWith gets one span per pipeline phase (frontend, shape,
-// parse-reduce with its regalloc/emit children, assemble).
-func (t *Target) CompileCtx(ctx context.Context, name, source string, opt shaper.Options) (*Compiled, error) {
+// CompileWith runs the full pipeline over Pascal source, translating on
+// ses: t.Gen (a fresh session per call) or a caller-owned
+// *codegen.Session. On a caller-owned session the result's Prog and
+// Result alias session storage and stay valid only until the session's
+// next translation; Source, Shaped, Tokens and Deck never do. A trace
+// attached via obs.ContextWith gets one span per pipeline phase
+// (frontend, shape, parse-reduce with its regalloc/emit children,
+// assemble).
+func (t *Target) CompileWith(ctx context.Context, ses codegen.EngineSession, name, source string, opt shaper.Options) (*Compiled, error) {
 	_, end := obs.StartSpan(ctx, "frontend")
 	prog, err := pascal.Parse(name, source)
 	end()
 	if err != nil {
 		return nil, err
 	}
-	return t.CompileASTCtx(ctx, prog, opt)
-}
-
-// CompileAST runs the pipeline from a checked syntax tree.
-func (t *Target) CompileAST(prog *pascal.Program, opt shaper.Options) (*Compiled, error) {
-	return t.CompileASTCtx(context.Background(), prog, opt)
-}
-
-// CompileASTCtx is CompileAST with a context (see CompileCtx).
-func (t *Target) CompileASTCtx(ctx context.Context, prog *pascal.Program, opt shaper.Options) (*Compiled, error) {
-	_, end := obs.StartSpan(ctx, "shape")
+	_, end = obs.StartSpan(ctx, "shape")
 	shaped, err := shaper.Shape(prog, opt)
 	end()
 	if err != nil {
 		return nil, err
 	}
-	return t.CompileShapedCtx(ctx, prog, shaped)
+	return t.compileShaped(ctx, ses, prog, shaped)
 }
 
-// CompileShaped finishes the pipeline from shaped IF.
+// CompileShaped finishes the pipeline from shaped IF on a fresh session.
 func (t *Target) CompileShaped(prog *pascal.Program, shaped *shaper.Shaped) (*Compiled, error) {
-	return t.CompileShapedCtx(context.Background(), prog, shaped)
+	return t.compileShaped(context.Background(), t.Gen, prog, shaped)
 }
 
-// CompileShapedCtx is CompileShaped with a context (see CompileCtx).
-func (t *Target) CompileShapedCtx(ctx context.Context, prog *pascal.Program, shaped *shaper.Shaped) (*Compiled, error) {
+func (t *Target) compileShaped(ctx context.Context, ses codegen.EngineSession, prog *pascal.Program, shaped *shaper.Shaped) (*Compiled, error) {
 	toks := shaped.Linearize()
-	asmProg, res, err := t.Gen.GenerateCtx(ctx, shaped.Name, toks)
+	asmProg, res, err := ses.GenerateCtx(ctx, shaped.Name, toks)
 	if err != nil {
 		return nil, err
 	}
@@ -163,35 +158,6 @@ func (t *Target) CompileShapedCtx(ctx context.Context, prog *pascal.Program, sha
 	c.Tokens = toks
 	c.Result = res
 	return c, nil
-}
-
-// Explain translates linearized IF with derivation recording enabled
-// and returns the provenance map alongside the program. The entries
-// survive a failed or blocked translation (they cover the instructions
-// emitted before the failure), so callers diagnosing a blocked parse
-// receive err != nil together with the partial derivation.
-func (t *Target) Explain(name string, toks []ir.Token) (*asm.Program, []codegen.ProvEntry, *codegen.Result, error) {
-	s, err := t.Gen.NewSession()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	s.EnableProvenance(true)
-	prog, res, err := s.Generate(name, toks)
-	return prog, s.Provenance(), res, err
-}
-
-// ExplainSource runs the front end and shaper over Pascal source, then
-// Explain over the linearized IF.
-func (t *Target) ExplainSource(name, source string, opt shaper.Options) (*asm.Program, []codegen.ProvEntry, *codegen.Result, error) {
-	prog, err := pascal.Parse(name, source)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	shaped, err := shaper.Shape(prog, opt)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return t.Explain(shaped.Name, shaped.Linearize())
 }
 
 // CompileHandwritten runs the hand-written baseline generator over

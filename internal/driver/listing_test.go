@@ -13,6 +13,7 @@ import (
 	"cogg/internal/driver"
 	"cogg/internal/ir"
 	"cogg/internal/labels"
+	"cogg/internal/loader"
 	"cogg/internal/oracle"
 	"cogg/internal/pascal/pascaltest"
 	"cogg/internal/risc32"
@@ -26,6 +27,12 @@ import (
 // append-style one replaced. A formatting drift anywhere in the corpus
 // changes it.
 const listingCorpusSHA256 = "01aa0755d261b9904ecd5cc24de5ed9c4677f9cb07ca604e463094a558b50f6e"
+
+// deckCorpusSHA256 is the SHA-256 of the concatenated card decks of
+// listingCorpus's Pascal programs, computed while every compile still
+// ran on a fresh code generation session. A drift in code, layout,
+// literal pool or loader output anywhere in the corpus changes it.
+const deckCorpusSHA256 = "01efacd17a8f6466eb380a0a8e8cd1552b4333162d6158cc0c814996f88262f7"
 
 // gcdProgram is the program of the risc32 retargeting example
 // (examples/retarget).
@@ -48,6 +55,7 @@ type listed struct {
 	name string
 	prog *asm.Program
 	m    asm.Machine
+	deck *loader.Deck // nil for the oracle's raw-IF witness programs
 }
 
 // listingCorpus compiles the pinned listing corpus: the 40 random
@@ -63,7 +71,7 @@ func listingCorpus(t *testing.T) []listed {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		out = append(out, listed{name, c.Prog, c.Machine})
+		out = append(out, listed{name, c.Prog, c.Machine, c.Deck})
 	}
 	for seed := int64(1); seed <= 40; seed++ {
 		compile(full, fmt.Sprintf("fuzz%d.pas", seed), pascaltest.Program(seed))
@@ -102,7 +110,7 @@ func listingCorpus(t *testing.T) []listed {
 		if err := labels.Layout(prog, full.Machine); err != nil {
 			t.Fatalf("%s: layout: %v", name, err)
 		}
-		out = append(out, listed{name, prog, full.Machine})
+		out = append(out, listed{name, prog, full.Machine, nil})
 	}
 
 	risc, err := driver.NewTargetWithConfig("risc32.cogg", specs.Risc32, driver.RiscConfig())
@@ -123,6 +131,24 @@ func TestListingGolden(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != listingCorpusSHA256 {
 		t.Errorf("listing of %d programs hashes to %s, want %s", len(corpus), got, listingCorpusSHA256)
+	}
+}
+
+// TestDeckGolden pins the object decks of the corpus's Pascal programs.
+func TestDeckGolden(t *testing.T) {
+	h := sha256.New()
+	n := 0
+	for _, l := range listingCorpus(t) {
+		if l.deck == nil {
+			continue
+		}
+		if err := l.deck.WriteCards(h); err != nil {
+			t.Fatalf("%s: %v", l.name, err)
+		}
+		n++
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != deckCorpusSHA256 {
+		t.Errorf("decks of %d programs hash to %s, want %s", n, got, deckCorpusSHA256)
 	}
 }
 

@@ -122,15 +122,11 @@ func (s *Server) collect() {
 	}
 }
 
-// execute runs one micro-batch: requests whose deadline already passed
-// are answered immediately, the rest are partitioned by (module, lang)
-// and driven through the batch service, which supplies worker fan-out,
-// per-unit panic isolation, deadlines, and statistics.
+// execute runs one micro-batch. Requests whose deadline already passed
+// are answered at once, and a deck request the blob tier already holds
+// is answered from it; every other unit runs through runUnit on the
+// batch service's worker pool.
 func (s *Server) execute(group []*pending) {
-	type part struct {
-		mt *modTarget
-		l  lang
-	}
 	// The flush failpoint models the dispatch path itself failing (a
 	// worker-pool wedge, an OOM between collect and run): the whole
 	// micro-batch answers 503 + Retry-After, and a resilient client
@@ -145,8 +141,7 @@ func (s *Server) execute(group []*pending) {
 		}
 		return
 	}
-	parts := map[part][]*pending{}
-	order := []part{}
+	run := make([]*pending, 0, len(group))
 	for _, p := range group {
 		p.endQueue()
 		if p.ctx.Err() != nil {
@@ -156,55 +151,98 @@ func (s *Server) execute(group []*pending) {
 			})
 			continue
 		}
-		k := part{p.mt, p.lang}
-		if _, ok := parts[k]; !ok {
-			order = append(order, k)
+		// A deck compiled by any replica in the fleet serves here without
+		// entering the pipeline, and without counting as a batch unit.
+		if p.deckCacheable() {
+			if resp, ok := s.deckCacheGet(p); ok {
+				p.finish(http.StatusOK, resp)
+				continue
+			}
 		}
-		parts[k] = append(parts[k], p)
+		run = append(run, p)
 	}
-	for _, k := range order {
-		ps := parts[k]
-		if k.l == langIF {
-			s.executeIF(k.mt, ps)
-		} else {
-			s.executePascal(k.mt, ps)
-		}
-	}
+	s.svc.Each(len(run), func(i int) { s.runUnit(run[i]) })
 }
 
-// executeIF drives raw prefix-IF units through the module's session
-// pool: reused sessions keep the emission hot path allocation-free, and
-// the listing is rendered before the session is re-pooled because the
-// program buffer aliases session storage.
-func (s *Server) executeIF(mt *modTarget, ps []*pending) {
-	units := make([]batch.IFUnit, len(ps))
-	for i, p := range ps {
-		units[i] = batch.IFUnit{Name: p.name, Text: p.source, Ctx: p.ctx}
-	}
-	results := s.svc.TranslateBatchWith(units, mt.translate)
-	for i, p := range ps {
-		r := results[i]
-		if r.Err != nil {
-			f := failureFor(r.Err, r.Mode)
-			if r.Mode == batch.FailBlocked {
-				f.Derivation = explainUnit(p)
-			}
-			p.finish(StatusFor(r.Mode), CompileResponse{Name: p.name, Failure: f})
-			continue
+// runUnit answers one unit through the batch service's per-unit
+// envelope (timing, recover, deadline, retry, statistics) and publishes
+// a successful deck into the blob tier.
+func (s *Server) runUnit(p *pending) {
+	resp, mode, err := batch.RunUnit(s.svc, p.ctx, p.name, func() (CompileResponse, error) {
+		return p.mt.compile(p)
+	}, func(r CompileResponse) (int, int) { return r.Instructions, r.CodeBytes })
+	if err != nil {
+		f := failureFor(err, mode)
+		if mode == batch.FailBlocked {
+			f.Derivation = explainUnit(p)
 		}
-		resp := CompileResponse{
+		p.finish(StatusFor(mode), CompileResponse{Name: p.name, Failure: f})
+		return
+	}
+	if p.explain {
+		resp.Derivation = explainUnit(p)
+	}
+	if p.deckCacheable() {
+		s.deckCachePut(p, resp)
+	}
+	p.finish(http.StatusOK, resp)
+}
+
+// compile runs one unit on a session borrowed from the pool, Pascal and
+// raw IF alike; reused sessions keep the emission hot path
+// allocation-free. The response is rendered in full before the session
+// goes back, because a program translated on it aliases session
+// storage. It runs inside the batch service's per-unit recover: a panic
+// mid-translation unwinds past the put, so the poisoned session is
+// simply never re-pooled.
+func (t *modTarget) compile(p *pending) (CompileResponse, error) {
+	ses, err := t.pool.get()
+	if err != nil {
+		return CompileResponse{}, err
+	}
+	resp, err := t.render(p.ctx, ses, p)
+	t.pool.put(ses, err)
+	return resp, err
+}
+
+// render translates one unit on ses and renders its response: the
+// listing and counters, plus the IF view and the base64 card deck when
+// the request asks for them.
+func (t *modTarget) render(ctx context.Context, ses codegen.EngineSession, p *pending) (CompileResponse, error) {
+	if p.lang == langIF {
+		r := batch.Translate(ses, t.tgt.Machine, batch.IFUnit{Name: p.name, Text: p.source, Ctx: ctx})
+		return CompileResponse{
 			Name:         p.name,
 			Listing:      r.Listing,
 			Tokens:       r.Tokens,
 			Reductions:   r.Reductions,
 			Instructions: r.Instructions,
 			CodeBytes:    r.CodeBytes,
-		}
-		if p.explain {
-			resp.Derivation = explainUnit(p)
-		}
-		p.finish(http.StatusOK, resp)
+		}, r.Err
 	}
+	c, err := t.tgt.CompileWith(ctx, ses, p.name, p.source, p.opt)
+	if err != nil {
+		return CompileResponse{}, err
+	}
+	resp := CompileResponse{
+		Name:         p.name,
+		Listing:      c.Listing(),
+		Tokens:       len(c.Tokens),
+		Reductions:   c.Result.Reductions,
+		Instructions: c.Prog.InstructionCount(),
+		CodeBytes:    c.Prog.CodeSize,
+	}
+	if p.showIF {
+		resp.IF = ir.FormatTokens(c.Tokens)
+	}
+	if p.deck {
+		var buf bytes.Buffer
+		if err := c.Deck.WriteCards(&buf); err != nil {
+			return CompileResponse{}, fmt.Errorf("rendering deck: %w", err)
+		}
+		resp.Deck = base64.StdEncoding.EncodeToString(buf.Bytes())
+	}
+	return resp, nil
 }
 
 // explainUnit re-runs one unit with derivation recording on a fresh,
@@ -213,36 +251,19 @@ func (s *Server) executeIF(mt *modTarget, ps []*pending) {
 // Keeping recording off the pooled path preserves its zero-allocation
 // steady state; a blocked parse is cheap to repeat (it stops at the
 // block) and deterministic, so the re-run reproduces exactly the
-// instructions the failing attempt emitted. The recover guard means a
-// diagnostic re-run can never take down the executor goroutine.
+// instructions the failing attempt emitted. It runs on a background
+// context so the re-run adds no spans to the request's trace. The
+// recover guard means a diagnostic re-run can never take down the
+// executor goroutine.
 func explainUnit(p *pending) (prov []codegen.ProvEntry) {
 	defer func() { _ = recover() }()
-	if p.lang == langIF {
-		toks, err := ir.ParseTokens(p.source)
-		if err != nil {
-			return nil
-		}
-		_, prov, _, _ = p.mt.tgt.Explain(p.name, toks)
-		return prov
-	}
-	_, prov, _, _ = p.mt.tgt.ExplainSource(p.name, p.source, p.opt)
-	return prov
-}
-
-// translate is the pooled-session unit translator handed to
-// TranslateBatchWith. batch.Translate renders the listing before it
-// returns, so the session goes back to the pool with nothing aliasing
-// it. It runs inside the batch service's per-unit recover: a panic
-// mid-translation unwinds past the put, so the poisoned session is
-// simply never re-pooled.
-func (t *modTarget) translate(u batch.IFUnit) batch.IFResult {
-	ses, err := t.pool.get()
+	ses, err := p.mt.tgt.Gen.NewSession()
 	if err != nil {
-		return batch.IFResult{Name: u.Name, Err: err}
+		return nil
 	}
-	r := batch.Translate(ses, t.tgt.Machine, u)
-	t.pool.put(ses, r.Err)
-	return r
+	ses.EnableProvenance(true)
+	_, _ = p.mt.render(context.Background(), ses, p)
+	return ses.Provenance()
 }
 
 // deckCacheEntry is the blob-cached form of a deck-producing compile:
@@ -269,20 +290,20 @@ func (p *pending) deckCacheable() bool {
 // on: the scheme tag, the module key (which already covers format
 // version + spec name + spec source), the unit name and source, and the
 // shaper option flags.
-func deckKey(mt *modTarget, p *pending) string {
+func deckKey(p *pending) string {
 	o := p.opt
 	flags := fmt.Sprintf("sr=%v sc=%v uc=%v cse=%v",
 		o.StatementRecords, o.SubscriptChecks, o.UninitChecks, o.CSE != nil)
-	return blob.DigestParts("deck/v1", mt.key, p.name, p.source, flags)
+	return blob.DigestParts("deck/v1", p.mt.key, p.name, p.source, flags)
 }
 
 // deckCacheGet answers one pending from the blob tier; any miss or
 // malformed entry falls through to compilation.
-func (s *Server) deckCacheGet(mt *modTarget, p *pending) (CompileResponse, bool) {
+func (s *Server) deckCacheGet(p *pending) (CompileResponse, bool) {
 	if s.blobStore == nil {
 		return CompileResponse{}, false
 	}
-	key := deckKey(mt, p)
+	key := deckKey(p)
 	data, err := s.blobStore.Get(p.ctx, key)
 	if err != nil {
 		return CompileResponse{}, false
@@ -307,7 +328,7 @@ func (s *Server) deckCacheGet(mt *modTarget, p *pending) (CompileResponse, bool)
 // deckCachePut publishes one successful deck compile into the blob
 // tier (best-effort) and, when a disk tier exists, upserts the index
 // sidecar so `cogg cache ls` can name the digest.
-func (s *Server) deckCachePut(mt *modTarget, p *pending, resp CompileResponse) {
+func (s *Server) deckCachePut(p *pending, resp CompileResponse) {
 	if s.blobStore == nil {
 		return
 	}
@@ -322,86 +343,18 @@ func (s *Server) deckCachePut(mt *modTarget, p *pending, resp CompileResponse) {
 	if err != nil {
 		return
 	}
-	key := deckKey(mt, p)
+	key := deckKey(p)
 	if err := s.blobStore.Put(p.ctx, key, data); err != nil {
 		return
 	}
 	if s.opts.CacheDir != "" {
 		_ = blob.UpdateIndex(s.opts.CacheDir, blob.IndexEntry{
-			Name:    mt.specName + "/" + p.name,
+			Name:    p.mt.specName + "/" + p.name,
 			Version: "deck/v1",
 			Kind:    "deck",
 			Key:     key,
 			Content: blob.Sum(data),
 			Size:    int64(len(data)),
 		})
-	}
-}
-
-// executePascal compiles Pascal units through the full driver pipeline.
-// The front end allocates per program regardless, so this path uses the
-// service's stock per-unit sessions rather than the pool; the raw-IF
-// path is the allocation-free one. Deck-producing units consult the
-// blob tier first — a deck compiled by any replica in the fleet serves
-// here without re-entering the pipeline.
-func (s *Server) executePascal(mt *modTarget, ps []*pending) {
-	run := make([]*pending, 0, len(ps))
-	for _, p := range ps {
-		if p.deckCacheable() {
-			if resp, ok := s.deckCacheGet(mt, p); ok {
-				p.finish(http.StatusOK, resp)
-				continue
-			}
-		}
-		run = append(run, p)
-	}
-	if len(run) == 0 {
-		return
-	}
-	units := make([]batch.Unit, len(run))
-	for i, p := range run {
-		units[i] = batch.Unit{Name: p.name, Source: p.source, Opt: p.opt, Ctx: p.ctx}
-	}
-	results := s.svc.CompileBatch(mt.tgt, units)
-	for i, p := range run {
-		r := results[i]
-		if r.Err != nil {
-			f := failureFor(r.Err, r.Mode)
-			if r.Mode == batch.FailBlocked {
-				f.Derivation = explainUnit(p)
-			}
-			p.finish(StatusFor(r.Mode), CompileResponse{Name: p.name, Failure: f})
-			continue
-		}
-		c := r.Compiled
-		resp := CompileResponse{
-			Name:         p.name,
-			Listing:      c.Listing(),
-			Tokens:       len(c.Tokens),
-			Reductions:   c.Result.Reductions,
-			Instructions: c.Prog.InstructionCount(),
-			CodeBytes:    c.Prog.CodeSize,
-		}
-		if p.showIF {
-			resp.IF = ir.FormatTokens(c.Tokens)
-		}
-		if p.explain {
-			resp.Derivation = explainUnit(p)
-		}
-		if p.deck {
-			var buf bytes.Buffer
-			if err := c.Deck.WriteCards(&buf); err != nil {
-				p.finish(http.StatusInternalServerError, CompileResponse{
-					Name:    p.name,
-					Failure: &Failure{Mode: batch.FailIO.String(), Message: "rendering deck: " + err.Error()},
-				})
-				continue
-			}
-			resp.Deck = base64.StdEncoding.EncodeToString(buf.Bytes())
-			if p.deckCacheable() {
-				s.deckCachePut(mt, p, resp)
-			}
-		}
-		p.finish(http.StatusOK, resp)
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/base64"
+	"fmt"
 	"net/http"
 	"os"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"cogg/internal/driver"
 	"cogg/internal/ifopt"
 	"cogg/internal/ir"
+	"cogg/internal/pascal/pascaltest"
 	"cogg/internal/rt370"
 	"cogg/internal/shaper"
 	"cogg/specs"
@@ -33,20 +35,41 @@ func referenceService(t *testing.T) (*batch.Service, *driver.Target) {
 	return svc, tgt
 }
 
-// TestDifferentialPascal: for every corpus program, with and without the
-// IF optimizer, the daemon's listing, object deck, and linearized IF
-// must be byte-identical to what the pascal370 CLI prints from the same
-// source (its -S, -deck, and -if views, produced here through the same
-// library calls the CLI makes).
-func TestDifferentialPascal(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	svc, refTgt := referenceService(t)
-
+// differentialPrograms are TestDifferentialPascal's inputs: the corpus
+// files plus the differential fuzzer's random programs (pascaltest
+// seeds 1-40).
+func differentialPrograms(t *testing.T) (names, sources []string) {
+	t.Helper()
 	for _, file := range corpus {
 		src, err := os.ReadFile("testdata/" + file)
 		if err != nil {
 			t.Fatal(err)
 		}
+		names, sources = append(names, file), append(sources, string(src))
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		names, sources = append(names, fmt.Sprintf("seed%d", seed)), append(sources, pascaltest.Program(seed))
+	}
+	return names, sources
+}
+
+// TestDifferentialPascal: for every program, with and without the IF
+// optimizer, the daemon's listing, object deck, linearized IF and
+// counters must be byte-identical to what the pascal370 CLI prints from
+// the same source (its -S, -deck, and -if views, produced here through
+// the same library calls the CLI makes, on a fresh session per
+// program). The daemon runs one worker over a one-session pool, and a
+// raw-IF request follows every other Pascal one, so every compile after
+// the first runs on a reused session that last served Pascal or IF.
+func TestDifferentialPascal(t *testing.T) {
+	_, ts := newTestServer(t, Options{PoolSize: 1, Workers: 1})
+	svc, refTgt := referenceService(t)
+	names, sources := differentialPrograms(t)
+	reused0 := varz(t, ts).Pools["amdahl470.cogg"].Reused
+	requests := 0
+
+	for i, file := range names {
+		src := sources[i]
 		for _, cse := range []bool{false, true} {
 			name := file
 			if cse {
@@ -59,7 +82,7 @@ func TestDifferentialPascal(t *testing.T) {
 				if cse {
 					opt.CSE = ifopt.New().Apply
 				}
-				rs := svc.CompileBatch(refTgt, []batch.Unit{{Name: name, Source: string(src), Opt: opt}})
+				rs := svc.CompileBatch(refTgt, []batch.Unit{{Name: name, Source: src, Opt: opt}})
 				if rs[0].Err != nil {
 					t.Fatalf("reference compile: %v", rs[0].Err)
 				}
@@ -70,9 +93,10 @@ func TestDifferentialPascal(t *testing.T) {
 				}
 
 				status, resp := compile(t, ts, CompileRequest{
-					Name: name, Source: string(src), Deck: true, IF: true,
+					Name: name, Source: src, Deck: true, IF: true,
 					Options: CompileOptions{CSE: cse},
 				})
+				requests++
 				if status != http.StatusOK {
 					t.Fatalf("server compile: status %d (%+v)", status, resp.Failure)
 				}
@@ -95,8 +119,19 @@ func TestDifferentialPascal(t *testing.T) {
 						resp.Tokens, resp.Reductions, resp.Instructions, resp.CodeBytes,
 						len(c.Tokens), c.Result.Reductions, c.Prog.InstructionCount(), c.Prog.CodeSize)
 				}
+
+				if requests%2 == 1 {
+					status, resp := compile(t, ts, CompileRequest{Name: name + ".if", Lang: "if", Source: resp.IF})
+					requests++
+					if status != http.StatusOK {
+						t.Fatalf("raw-IF request: status %d (%+v)", status, resp.Failure)
+					}
+				}
 			})
 		}
+	}
+	if got := varz(t, ts).Pools["amdahl470.cogg"].Reused - reused0; got != int64(requests-1) {
+		t.Errorf("%d requests reused %d pooled sessions, want %d", requests, got, requests-1)
 	}
 }
 

@@ -6,14 +6,15 @@
 //
 // The daemon keeps one decoded table module per specification through
 // the batch service's two-tier cache, holds a bounded pool of reusable
-// translation sessions per module so the steady-state raw-IF path keeps
-// the zero-allocation emission loop of package codegen, coalesces
-// concurrent requests into micro-batches run through the batch
-// service, and applies admission control: a bounded intake queue (429
-// when full), per-request deadlines (504 past the deadline), and a
-// graceful drain that completes in-flight requests while rejecting new
-// ones (503). Unit failures map the batch failure taxonomy onto HTTP
-// status codes — see StatusFor.
+// translation sessions per module that every unit, Pascal or raw IF,
+// borrows, so steady-state code generation keeps the zero-allocation
+// emission loop of package codegen, coalesces concurrent requests into
+// micro-batches run through the batch service, and applies admission
+// control: a bounded intake queue (429 when full), per-request
+// deadlines (504 past the deadline), and a graceful drain that
+// completes in-flight requests while rejecting new ones (503). Unit
+// failures map the batch failure taxonomy onto HTTP status codes — see
+// StatusFor.
 //
 // Endpoints:
 //
@@ -814,6 +815,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i := range req.Units {
 		p, err := s.admit(&req.Units[i])
 		if err != nil {
+			// Every accepted unit of a refused batch ends failed.
+			s.stats.Failed.Add(int64(len(req.Units)))
 			failMode = "bad-request"
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("unit %d: %v", i, err))
 			return
@@ -840,6 +843,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := BatchResponse{Results: make([]CompileResponse, len(ps)), TraceID: tr.ID()}
 	for i, p := range ps {
+		s.stats.noteResult(p.status)
 		resp.Results[i] = p.resp
 		if p.resp.Failure != nil {
 			resp.Failed++
@@ -900,11 +904,7 @@ func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) writeResult(w http.ResponseWriter, p *pending) {
-	if p.status != http.StatusOK {
-		s.stats.Failed.Add(1)
-	} else {
-		s.stats.Completed.Add(1)
-	}
+	s.stats.noteResult(p.status)
 	// The response-write failpoint models a daemon dying (or stalling —
 	// KindDelay is a slow-loris) mid-response: half the body goes out,
 	// then the connection aborts. Clients must treat the truncated body
@@ -994,6 +994,15 @@ func (st *serverStats) snapshot(inflight int64, depth, capacity int) ServerSnaps
 		InFlightUnits:     inflight,
 		QueueDepth:        depth,
 		QueueCap:          capacity,
+	}
+}
+
+// noteResult counts one answered unit's terminal outcome.
+func (st *serverStats) noteResult(status int) {
+	if status != http.StatusOK {
+		st.Failed.Add(1)
+	} else {
+		st.Completed.Add(1)
 	}
 }
 

@@ -2,8 +2,8 @@ package server
 
 import (
 	"encoding/base64"
-	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"sync"
@@ -209,6 +209,83 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
+// varz fetches the /varz snapshot.
+func varz(t *testing.T, ts *httptest.Server) Varz {
+	t.Helper()
+	var v Varz
+	if status := getJSON(t, ts.URL+"/varz", &v); status != http.StatusOK {
+		t.Fatalf("/varz: status %d", status)
+	}
+	return v
+}
+
+// TestBatchUnitOutcomes: every unit /v1/batch accepts ends in a terminal
+// outcome, the way a /v1/compile request does: each answered unit
+// counts completed or failed, and every unit of a batch refused for
+// one bad unit counts failed.
+func TestBatchUnitOutcomes(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	before := varz(t, ts).Server
+	req := BatchRequest{Units: []CompileRequest{
+		{Name: "a.if", Lang: "if", Source: goodIF},
+		{Name: "b.if", Lang: "if", Source: badIF},
+		{Name: "c.if", Lang: "if", Source: goodIF},
+	}}
+	if status := post(t, ts.URL+"/v1/batch", req, nil); status != http.StatusOK {
+		t.Fatalf("batch status %d, want 200", status)
+	}
+	after := varz(t, ts).Server
+	if d := after.Accepted - before.Accepted; d != 3 {
+		t.Errorf("accepted +%d, want +3", d)
+	}
+	if dc, df := after.Completed-before.Completed, after.Failed-before.Failed; dc != 2 || df != 1 {
+		t.Errorf("completed +%d failed +%d, want +2 +1", dc, df)
+	}
+
+	before = after
+	req.Units[1].Lang = "cobol"
+	if status := post(t, ts.URL+"/v1/batch", req, nil); status != http.StatusBadRequest {
+		t.Fatalf("batch with a bad unit: status %d, want 400", status)
+	}
+	after = varz(t, ts).Server
+	if da, df := after.Accepted-before.Accepted, after.Failed-before.Failed; da != 3 || df != 3 {
+		t.Errorf("refused batch: accepted +%d failed +%d, want +3 +3", da, df)
+	}
+	if dc := after.Completed - before.Completed; dc != 0 {
+		t.Errorf("refused batch: completed +%d, want +0", dc)
+	}
+}
+
+// TestCodeBytesCounted: raw-IF and Pascal units both add their laid-out
+// code bytes to the batch counters, so cogg_code_bytes_total and /varz
+// agree with the responses' code_bytes.
+func TestCodeBytesCounted(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	sieve, err := os.ReadFile("testdata/sieve.pas")
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, req := range []CompileRequest{
+		{Name: "a.if", Lang: "if", Source: goodIF},
+		{Name: "sieve.pas", Source: string(sieve)},
+		{Name: "b.if", Lang: "if", Source: goodIF},
+		{Name: "sieve.pas+cse", Source: string(sieve), Options: CompileOptions{CSE: true}},
+	} {
+		status, resp := compile(t, ts, req)
+		if status != http.StatusOK || resp.CodeBytes <= 0 {
+			t.Fatalf("%s: status %d, %d code bytes (%+v)", req.Name, status, resp.CodeBytes, resp.Failure)
+		}
+		total += resp.CodeBytes
+	}
+	if got := parseSamples(t, scrape(t, ts))["cogg_code_bytes_total"]; got != float64(total) {
+		t.Errorf("cogg_code_bytes_total = %v, want %d", got, total)
+	}
+	if got := varz(t, ts).Batch.BytesEmitted; got != int64(total) {
+		t.Errorf("/varz batch BytesEmitted = %d, want %d", got, total)
+	}
+}
+
 // TestQueueOverload: with the admission bound at 2 and two slow
 // requests in flight, a third request is refused with 429 instead of
 // queuing without bound.
@@ -258,13 +335,21 @@ func TestConcurrentClients(t *testing.T) {
 
 	const clients = 8
 	const perClient = 12
-	var wantListing string
+	var wantListing, wantPascal string
 	{
 		status, resp := compile(t, ts, CompileRequest{Name: "w.if", Lang: "if", Source: goodIF})
 		if status != 200 {
 			t.Fatalf("priming request failed: %d", status)
 		}
 		wantListing = resp.Listing
+	}
+	pascalReq := CompileRequest{Name: "s.pas", Source: string(sieve), Options: CompileOptions{CSE: true}}
+	{
+		status, resp := compile(t, ts, pascalReq)
+		if status != 200 {
+			t.Fatalf("priming pascal request failed: %d", status)
+		}
+		wantPascal = resp.Listing
 	}
 
 	var wg sync.WaitGroup
@@ -282,12 +367,11 @@ func TestConcurrentClients(t *testing.T) {
 						t.Errorf("client %d: listing diverged under concurrency", c)
 					}
 				case 1:
-					status, _ := compile(t, ts, CompileRequest{
-						Name: fmt.Sprintf("s%d-%d.pas", c, i), Source: string(sieve),
-						Options: CompileOptions{CSE: true},
-					})
+					status, resp := compile(t, ts, pascalReq)
 					if status != 200 {
 						t.Errorf("client %d: pascal status %d", c, status)
+					} else if resp.Listing != wantPascal {
+						t.Errorf("client %d: pascal listing diverged under concurrency", c)
 					}
 				default:
 					status, _ := compile(t, ts, CompileRequest{Name: "bad.if", Lang: "if", Source: badIF})
