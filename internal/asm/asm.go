@@ -128,9 +128,12 @@ func NewProgram(name string) *Program {
 }
 
 // Reset empties the program for a new compilation unit, keeping the
-// instruction and pool buffers (and map storage) for reuse.
+// instruction and pool buffers (and map storage) for reuse. The previous
+// unit's instructions are zeroed, so the spare capacity holds no operand
+// slice pinning an operand arena chunk the session has since outgrown.
 func (p *Program) Reset(name string) {
 	p.Name = name
+	clear(p.Instrs)
 	p.Instrs = p.Instrs[:0]
 	clear(p.Labels)
 	p.Pool = p.Pool[:0]

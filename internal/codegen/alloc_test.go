@@ -98,3 +98,36 @@ func TestZeroAllocSteadyStateShifts(t *testing.T) {
 		t.Errorf("shift-heavy translation allocates: %.1f allocs/run, want 0", allocs)
 	}
 }
+
+// TestSessionResetReleasesOperands: a reused session's code buffer
+// keeps its capacity, but after a large run followed by a small one no
+// slot past the small run's instructions still holds an operand slice —
+// such a slice would keep alive every operand arena chunk the large
+// run grew through.
+func TestSessionResetReleasesOperands(t *testing.T) {
+	s, err := amdahlGen(t).NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, _, err := s.Generate("big", allocIF(t, 400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigLen := len(big.Instrs)
+	prog, _, err := s.Generate("small", allocIF(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prog.Instrs) >= bigLen {
+		t.Fatalf("small run emitted %d instructions, large run %d", len(prog.Instrs), bigLen)
+	}
+	spare := prog.Instrs[len(prog.Instrs):cap(prog.Instrs)]
+	if len(spare) < bigLen-len(prog.Instrs) {
+		t.Fatalf("code buffer did not keep the large run's capacity (%d spare slots)", len(spare))
+	}
+	for i := range spare {
+		if spare[i].Opds != nil {
+			t.Fatalf("spare slot %d still holds an operand slice", len(prog.Instrs)+i)
+		}
+	}
+}

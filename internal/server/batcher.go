@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
@@ -26,8 +25,8 @@ const (
 )
 
 // pending is one admitted request waiting for (or holding) its result.
-// The executing worker is the only writer of resp/status and the only
-// closer of done; the handler reads resp only after done closes.
+// The executing worker is the only writer of the answer fields and the
+// only closer of done; the handler reads them only after done closes.
 type pending struct {
 	name    string
 	lang    lang
@@ -46,9 +45,12 @@ type pending struct {
 	unitSpan  int
 	queueSpan int
 
-	resp   CompileResponse
-	status int
-	done   chan struct{}
+	// body is the unit's encoded CompileResponse without trace_id, which
+	// the handler appends; failMode names its failure, "" on success.
+	body     []byte
+	status   int
+	failMode string
+	done     chan struct{}
 }
 
 // attachTrace parents this unit's spans under the request span.
@@ -66,13 +68,20 @@ func (p *pending) endQueue() {
 	}
 }
 
-func (p *pending) finish(status int, resp CompileResponse) {
+// finish answers the unit with its encoded body.
+func (p *pending) finish(status int, body []byte, failMode string) {
 	if p.tr != nil {
 		p.tr.EndSpan(p.unitSpan)
 	}
 	p.status = status
-	p.resp = resp
+	p.body = body
+	p.failMode = failMode
 	close(p.done)
+}
+
+// fail answers the unit with a failure.
+func (p *pending) fail(status int, f *Failure) {
+	p.finish(status, failureBody(p.name, f), f.Mode)
 }
 
 // The micro-batcher's shape: how long the collector waits to coalesce
@@ -134,10 +143,8 @@ func (s *Server) execute(group []*pending) {
 	if err := faultinject.Eval("server/batch/flush", group[0].name); err != nil {
 		for _, p := range group {
 			p.endQueue()
-			p.finish(http.StatusServiceUnavailable, CompileResponse{
-				Name:    p.name,
-				Failure: &Failure{Mode: batch.FailIO.String(), Message: "batch flush failed: " + err.Error()},
-			})
+			p.fail(http.StatusServiceUnavailable,
+				&Failure{Mode: batch.FailIO.String(), Message: "batch flush failed: " + err.Error()})
 		}
 		return
 	}
@@ -145,17 +152,15 @@ func (s *Server) execute(group []*pending) {
 	for _, p := range group {
 		p.endQueue()
 		if p.ctx.Err() != nil {
-			p.finish(http.StatusGatewayTimeout, CompileResponse{
-				Name:    p.name,
-				Failure: &Failure{Mode: batch.FailTimeout.String(), Message: "deadline exceeded while queued"},
-			})
+			p.fail(http.StatusGatewayTimeout,
+				&Failure{Mode: batch.FailTimeout.String(), Message: "deadline exceeded while queued"})
 			continue
 		}
 		// A deck compiled by any replica in the fleet serves here without
 		// entering the pipeline, and without counting as a batch unit.
 		if p.deckCacheable() {
-			if resp, ok := s.deckCacheGet(p); ok {
-				p.finish(http.StatusOK, resp)
+			if body, ok := s.deckCacheGet(p); ok {
+				p.finish(http.StatusOK, body, "")
 				continue
 			}
 		}
@@ -166,7 +171,7 @@ func (s *Server) execute(group []*pending) {
 
 // runUnit answers one unit through the batch service's per-unit
 // envelope (timing, recover, deadline, retry, statistics) and publishes
-// a successful deck into the blob tier.
+// a successful deck's body into the blob tier.
 func (s *Server) runUnit(p *pending) {
 	resp, mode, err := batch.RunUnit(s.svc, p.ctx, p.name, func() (CompileResponse, error) {
 		return p.mt.compile(p)
@@ -176,16 +181,17 @@ func (s *Server) runUnit(p *pending) {
 		if mode == batch.FailBlocked {
 			f.Derivation = explainUnit(p)
 		}
-		p.finish(StatusFor(mode), CompileResponse{Name: p.name, Failure: f})
+		p.fail(StatusFor(mode), f)
 		return
 	}
 	if p.explain {
 		resp.Derivation = explainUnit(p)
 	}
+	body := encodeJSON(resp)
 	if p.deckCacheable() {
-		s.deckCachePut(p, resp)
+		s.deckCachePut(p, body)
 	}
-	p.finish(http.StatusOK, resp)
+	p.finish(http.StatusOK, body, "")
 }
 
 // compile runs one unit on a session borrowed from the pool, Pascal and
@@ -266,19 +272,6 @@ func explainUnit(p *pending) (prov []codegen.ProvEntry) {
 	return ses.Provenance()
 }
 
-// deckCacheEntry is the blob-cached form of a deck-producing compile:
-// everything a CompileResponse needs, so a warm replica answers a
-// repeated deck request from the artifact tier without touching the
-// pipeline — and a fleet peer's deck serves here byte-identically.
-type deckCacheEntry struct {
-	Listing      string `json:"listing"`
-	Tokens       int    `json:"tokens"`
-	Reductions   int    `json:"reductions"`
-	Instructions int    `json:"instructions"`
-	CodeBytes    int    `json:"code_bytes"`
-	Deck         string `json:"deck_b64"`
-}
-
 // deckCacheable: only plain deck-producing Pascal successes are
 // cached. Explain output is interpreter-provenance (cheap to re-derive,
 // huge to store) and showIF is a debugging view; both stay uncached.
@@ -287,74 +280,49 @@ func (p *pending) deckCacheable() bool {
 }
 
 // deckKey derives a deck's blob key from everything the output depends
-// on: the scheme tag, the module key (which already covers format
-// version + spec name + spec source), the unit name and source, and the
-// shaper option flags.
+// on: the scheme tag (v2: the payload is the unit's response body as a
+// miss encodes it, without trace_id), the module key (which already
+// covers format version + spec name + spec source), the unit name and
+// source, and the shaper option flags.
 func deckKey(p *pending) string {
 	o := p.opt
 	flags := fmt.Sprintf("sr=%v sc=%v uc=%v cse=%v",
 		o.StatementRecords, o.SubscriptChecks, o.UninitChecks, o.CSE != nil)
-	return blob.DigestParts("deck/v1", p.mt.key, p.name, p.source, flags)
+	return blob.DigestParts("deck/v2", p.mt.key, p.name, p.source, flags)
 }
 
-// deckCacheGet answers one pending from the blob tier; any miss or
-// malformed entry falls through to compilation.
-func (s *Server) deckCacheGet(p *pending) (CompileResponse, bool) {
-	if s.blobStore == nil {
-		return CompileResponse{}, false
-	}
+// deckCacheGet returns the stored body of p's deck. A miss falls
+// through to compilation; so does an entry not naming p, once dropped.
+func (s *Server) deckCacheGet(p *pending) ([]byte, bool) {
 	key := deckKey(p)
 	data, err := s.blobStore.Get(p.ctx, key)
 	if err != nil {
-		return CompileResponse{}, false
+		return nil, false
 	}
-	var e deckCacheEntry
-	if json.Unmarshal(data, &e) != nil || e.Deck == "" {
-		// Intact bytes that are not a deck entry: drop and recompile.
+	prefix := append(append([]byte(`{"name":`), jsonString(p.name)...), ',')
+	if !bytes.HasPrefix(data, prefix) || !bytes.HasSuffix(data, []byte("}\n")) {
 		_ = s.blobStore.Delete(p.ctx, key)
-		return CompileResponse{}, false
+		return nil, false
 	}
-	return CompileResponse{
-		Name:         p.name,
-		Listing:      e.Listing,
-		Tokens:       e.Tokens,
-		Reductions:   e.Reductions,
-		Instructions: e.Instructions,
-		CodeBytes:    e.CodeBytes,
-		Deck:         e.Deck,
-	}, true
+	return data, true
 }
 
-// deckCachePut publishes one successful deck compile into the blob
-// tier (best-effort) and, when a disk tier exists, upserts the index
-// sidecar so `cogg cache ls` can name the digest.
-func (s *Server) deckCachePut(p *pending, resp CompileResponse) {
-	if s.blobStore == nil {
-		return
-	}
-	data, err := json.Marshal(deckCacheEntry{
-		Listing:      resp.Listing,
-		Tokens:       resp.Tokens,
-		Reductions:   resp.Reductions,
-		Instructions: resp.Instructions,
-		CodeBytes:    resp.CodeBytes,
-		Deck:         resp.Deck,
-	})
-	if err != nil {
-		return
-	}
+// deckCachePut publishes one successful deck's body into the blob tier
+// (best-effort) and, when a disk tier exists, upserts the index sidecar
+// so `cogg cache ls` can name the digest.
+func (s *Server) deckCachePut(p *pending, body []byte) {
 	key := deckKey(p)
-	if err := s.blobStore.Put(p.ctx, key, data); err != nil {
+	if err := s.blobStore.Put(p.ctx, key, body); err != nil {
 		return
 	}
 	if s.opts.CacheDir != "" {
 		_ = blob.UpdateIndex(s.opts.CacheDir, blob.IndexEntry{
 			Name:    p.mt.specName + "/" + p.name,
-			Version: "deck/v1",
+			Version: "deck/v2",
 			Kind:    "deck",
 			Key:     key,
-			Content: blob.Sum(data),
-			Size:    int64(len(data)),
+			Content: blob.Sum(body),
+			Size:    int64(len(body)),
 		})
 	}
 }

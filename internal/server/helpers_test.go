@@ -39,11 +39,32 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 // post sends one JSON request and decodes the JSON answer into out.
 func post(t *testing.T, url string, req any, out any) int {
 	t.Helper()
+	status, data := postBody(t, url, req, nil)
+	if out != nil {
+		if err := json.Unmarshal(data, out); err != nil {
+			t.Fatalf("bad response body %q: %v", data, err)
+		}
+	}
+	return status
+}
+
+// postBody sends one JSON request with the given headers and returns
+// the status and the raw response body.
+func postBody(t *testing.T, url string, req any, header http.Header) (int, []byte) {
+	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	hr, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Header.Set("Content-Type", "application/json")
+	for k, v := range header {
+		hr.Header[k] = v
+	}
+	resp, err := http.DefaultClient.Do(hr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,12 +73,7 @@ func post(t *testing.T, url string, req any, out any) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
-			t.Fatalf("bad response body %q: %v", data, err)
-		}
-	}
-	return resp.StatusCode
+	return resp.StatusCode, data
 }
 
 // getJSON fetches url and decodes the JSON answer into out.

@@ -42,6 +42,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -51,6 +52,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -713,11 +715,8 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 	select {
 	case <-p.done:
-		p.resp.TraceID = tr.ID()
-		if p.resp.Failure != nil {
-			failMode = p.resp.Failure.Mode
-		}
-		s.writeResult(w, p)
+		failMode = p.failMode
+		s.writeResult(w, p, withTraceID(p.body, tr.ID()))
 	case <-ctx.Done():
 		// The unit may still finish inside the pool; its result is
 		// dropped. The batch service's own per-unit deadline bounds how
@@ -725,11 +724,8 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		// trace, which is exactly what a timeout looks like.
 		s.stats.TimedOut.Add(1)
 		failMode = batch.FailTimeout.String()
-		writeJSON(w, http.StatusGatewayTimeout, CompileResponse{
-			Name:    p.name,
-			TraceID: tr.ID(),
-			Failure: &Failure{Mode: batch.FailTimeout.String(), Message: "deadline exceeded before compilation finished"},
-		})
+		writeBody(w, http.StatusGatewayTimeout, withTraceID(failureBody(p.name,
+			&Failure{Mode: failMode, Message: "deadline exceeded before compilation finished"}), tr.ID()))
 	}
 }
 
@@ -841,15 +837,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusGatewayTimeout, "deadline exceeded before the batch finished")
 		return
 	}
-	resp := BatchResponse{Results: make([]CompileResponse, len(ps)), TraceID: tr.ID()}
+	// The BatchResponse, spliced from the units' bodies.
+	out := []byte(`{"results":[`)
+	failed := 0
 	for i, p := range ps {
 		s.stats.noteResult(p.status)
-		resp.Results[i] = p.resp
-		if p.resp.Failure != nil {
-			resp.Failed++
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(out, p.body[:len(p.body)-1]...)
+		if p.failMode != "" {
+			failed++
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	out = strconv.AppendInt(append(out, `],"failed":`...), int64(failed), 10)
+	writeBody(w, http.StatusOK, withTraceID(append(out, "}\n"...), tr.ID()))
 }
 
 // handleHealthz is pure liveness: a process that can run this handler
@@ -903,34 +905,60 @@ func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, v)
 }
 
-func (s *Server) writeResult(w http.ResponseWriter, p *pending) {
+// writeResult writes one unit's answer: its body with the trace_id.
+func (s *Server) writeResult(w http.ResponseWriter, p *pending, data []byte) {
 	s.stats.noteResult(p.status)
+	setRetryAfter(w, p.status)
 	// The response-write failpoint models a daemon dying (or stalling —
 	// KindDelay is a slow-loris) mid-response: half the body goes out,
 	// then the connection aborts. Clients must treat the truncated body
 	// as a transport error, never as a short-but-valid answer.
 	if err := faultinject.Eval("server/response/write", p.name); err != nil {
-		setRetryAfter(w, p.status)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(p.status)
-		if data, merr := json.Marshal(p.resp); merr == nil {
-			_, _ = w.Write(data[:len(data)/2])
-			if f, ok := w.(http.Flusher); ok {
-				f.Flush()
-			}
+		writeBody(w, p.status, data[:len(data)/2])
+		if f, ok := w.(http.Flusher); ok {
+			f.Flush()
 		}
 		panic(http.ErrAbortHandler)
 	}
-	setRetryAfter(w, p.status)
-	writeJSON(w, p.status, p.resp)
+	writeBody(w, p.status, data)
+}
+
+// encodeJSON renders v as every JSON body the daemon sends: HTML
+// characters unescaped, one trailing newline.
+func encodeJSON(v any) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	_ = enc.Encode(v) // the daemon's response types always encode
+	return buf.Bytes()
+}
+
+// jsonString is s as a JSON string literal, escaped as encodeJSON does.
+func jsonString(s string) []byte {
+	b := encodeJSON(s)
+	return b[:len(b)-1]
+}
+
+// failureBody is the encoded answer of a unit that failed with f.
+func failureBody(name string, f *Failure) []byte {
+	return encodeJSON(CompileResponse{Name: name, Failure: f})
+}
+
+// withTraceID returns a copy of the encoded object body with trace_id
+// appended as its last field; body itself, which may be cached, stays.
+func withTraceID(body []byte, traceID string) []byte {
+	b := append(slices.Clip(body[:len(body)-2]), `,"trace_id":`...)
+	return append(append(b, jsonString(traceID)...), "}\n"...)
+}
+
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	writeBody(w, status, encodeJSON(v))
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {
