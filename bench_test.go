@@ -14,12 +14,14 @@
 //	E9 BenchmarkCompressionAblation      — dense vs comb vs row-merged tables
 //	E10 BenchmarkBatchThroughput         — batch service: worker scaling,
 //	                                       cold vs. warm table-module cache
+//	    BenchmarkTableDecode             — the warm load's decode alone
 //	E15 BenchmarkListing                 — rendering the assembly listing
 //
 // Run with: go test -bench=. -benchmem
 package cogg_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io/fs"
@@ -363,6 +365,29 @@ func BenchmarkPack(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tables.Pack(cg.Table)
+	}
+}
+
+// BenchmarkTableDecode isolates the warm half of a replica's start-up:
+// decoding and validating the encoded Amdahl 470 table module from the
+// bytes a cache or peer handed over.
+func BenchmarkTableDecode(b *testing.B) {
+	cg, err := core.Generate("amdahl470.cogg", specs.Amdahl470)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := cg.Encode(&buf); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tables.Decode(data); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

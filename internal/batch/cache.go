@@ -91,7 +91,7 @@ func (s *Service) loadStore(ctx context.Context, key string) (*tables.Module, bo
 	start := time.Now()
 	var mod *tables.Module
 	profiling.Phase("decode", func() {
-		mod, err = tables.Decode(bytes.NewReader(data))
+		mod, err = tables.Decode(data)
 	})
 	if err != nil {
 		s.Stats.DiskBad.Add(1)

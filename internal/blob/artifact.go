@@ -26,10 +26,10 @@ import (
 // header — the corrupt entry was quarantined by the backend, and to the
 // fetching peer an unservable blob is a miss.
 //
-// maxBytes caps an accepted PUT body; <= 0 means 64 MiB.
+// maxBytes caps an accepted PUT body; <= 0 means maxArtifactBytes.
 func ArtifactHandler(store Store, maxBytes int64) http.Handler {
 	if maxBytes <= 0 {
-		maxBytes = 64 << 20
+		maxBytes = maxArtifactBytes
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		key := strings.TrimPrefix(r.URL.Path, ArtifactPathPrefix)

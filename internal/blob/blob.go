@@ -55,6 +55,15 @@ import (
 // answer, distinct from infrastructure trouble.
 var ErrNotFound = errors.New("blob: not found")
 
+// ErrTooLarge reports a payload over maxArtifactBytes, the cap on one
+// artifact crossing the wire in either direction.
+var ErrTooLarge = fmt.Errorf("blob: payload exceeds the %d MiB artifact cap", maxArtifactBytes>>20)
+
+// maxArtifactBytes caps one artifact on the wire: the default limit on
+// a PUT body the artifact API accepts, and the most a Remote reads of a
+// peer's answer.
+const maxArtifactBytes = 64 << 20
+
 // VerifyError reports a blob whose payload no longer hashes to its
 // recorded content digest: disk rot, a truncated write that slipped
 // past the crash protocol, or wire corruption. The entry has been

@@ -191,6 +191,26 @@ func (r *Remote) getFrom(ctx context.Context, p *remotePeer, key string) ([]byte
 	return nil, lastErr
 }
 
+// readAnswer reads a peer's answer body, at most maxArtifactBytes of
+// it. A declared length is checked before reading and sizes the buffer
+// (net/http ends such a body at that length); an undeclared one is read
+// through the cap.
+func readAnswer(resp *http.Response) ([]byte, error) {
+	if resp.ContentLength > maxArtifactBytes {
+		return nil, ErrTooLarge
+	}
+	if resp.ContentLength >= 0 {
+		body := make([]byte, resp.ContentLength)
+		_, err := io.ReadFull(resp.Body, body)
+		return body, err
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxArtifactBytes+1))
+	if err == nil && len(body) > maxArtifactBytes {
+		return nil, ErrTooLarge
+	}
+	return body, err
+}
+
 // retryableError wraps a retryable failure carrying the server's
 // Retry-After hint into the backoff computation.
 type retryableError struct {
@@ -254,8 +274,13 @@ func (r *Remote) attemptGet(ctx context.Context, p *remotePeer, key string) (pay
 		p.br.Failure()
 		return nil, fmt.Errorf("blob: peer %s: %w", p.url, err), true
 	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := readAnswer(resp)
 	resp.Body.Close()
+	if errors.Is(err, ErrTooLarge) {
+		// The peer would send the same answer again: no retry.
+		p.br.Failure()
+		return nil, fmt.Errorf("blob: peer %s: %w", p.url, err), false
+	}
 	if err != nil {
 		if ctx.Err() != nil {
 			p.br.CancelProbe()

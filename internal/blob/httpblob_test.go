@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -426,5 +427,29 @@ func TestHandlerServesQuarantineAsMiss(t *testing.T) {
 	r := fastRemote(srv.URL)
 	if _, err := r.Get(ctx, DigestParts("absent-entirely")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("remote miss = %v, want ErrNotFound", err)
+	}
+}
+
+// TestRemoteRefusesOversizedAnswer: a peer answer that declares more
+// than the artifact cap is refused before its body is read, as
+// ErrTooLarge, and is not retried.
+func TestRemoteRefusesOversizedAnswer(t *testing.T) {
+	var gets atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		gets.Add(1)
+		w.Header().Set("Content-Length", strconv.Itoa(maxArtifactBytes+1))
+		w.WriteHeader(http.StatusOK)
+		w.Write([]byte("the first bytes of far too many"))
+	}))
+	defer srv.Close()
+	_, err := fastRemote(srv.URL).Get(ctx, DigestParts("oversized"))
+	if !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("Get = %v, want ErrTooLarge", err)
+	}
+	if !strings.Contains(err.Error(), srv.URL) {
+		t.Errorf("error %q does not name the peer", err)
+	}
+	if n := gets.Load(); n != 1 {
+		t.Errorf("peer asked %d times, want 1", n)
 	}
 }

@@ -46,7 +46,7 @@ func sharedDecodedGenerator(t *testing.T) *codegen.Generator {
 	if _, err := cg.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	mod, err := tables.Decode(&buf)
+	mod, err := tables.Decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

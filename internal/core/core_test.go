@@ -92,7 +92,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if sizes.Total != buf.Len() {
 		t.Errorf("reported total %d != written %d", sizes.Total, buf.Len())
 	}
-	mod, err := tables.Decode(&buf)
+	mod, err := tables.Decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package driver_test
 
 import (
-	"io"
 	"testing"
 
 	"cogg/internal/ir"
@@ -12,8 +11,8 @@ import (
 	"cogg/internal/tables"
 )
 
-func decodeModule(r io.Reader) (*tables.Module, error) {
-	return tables.Decode(r)
+func decodeModule(data []byte) (*tables.Module, error) {
+	return tables.Decode(data)
 }
 
 func newGenerator(mod *tables.Module) (*codegen.Generator, error) {

@@ -204,7 +204,7 @@ func TestSerializedTablesDriveGenerator(t *testing.T) {
 	if _, err := cg.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	mod, err := decodeModule(&buf)
+	mod, err := decodeModule(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

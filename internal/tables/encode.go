@@ -1,7 +1,6 @@
 package tables
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -59,43 +58,51 @@ func Encode(w io.Writer, g *grammar.Grammar, t *lr.Table, p *Packed) (SectionSiz
 // identical to Encode's for the same grammar and packed table.
 func EncodeModule(w io.Writer, m *Module) (SectionSizes, error) {
 	var sizes SectionSizes
-	var buf bytes.Buffer
-	buf.Write(magic[:])
+	// The whole stream is appended into one buffer sized up front.
+	buf := make([]byte, 0, len(magic)+symbolsSize(m.Grammar)+prodsSize(m.Grammar)+packedSize(m.Packed))
+	buf = append(buf, magic[:]...)
 
-	start := buf.Len()
-	encodeSymbols(&buf, m.Grammar)
-	sizes.Symbols = buf.Len() - start
+	start := len(buf)
+	buf = appendSymbols(buf, m.Grammar)
+	sizes.Symbols = len(buf) - start
 
-	start = buf.Len()
-	encodeProds(&buf, m.Grammar)
-	sizes.Templates = buf.Len() - start
+	start = len(buf)
+	buf = appendProds(buf, m.Grammar)
+	sizes.Templates = len(buf) - start
 
-	start = buf.Len()
-	if err := encodePacked(&buf, m.Packed); err != nil {
+	start = len(buf)
+	buf, err := appendPacked(buf, m.Packed)
+	if err != nil {
 		return sizes, err
 	}
-	sizes.Compressed = buf.Len() - start
+	sizes.Compressed = len(buf) - start
 
-	sizes.Total = buf.Len()
-	_, err := w.Write(buf.Bytes())
+	sizes.Total = len(buf)
+	_, err = w.Write(buf)
 	return sizes, err
 }
 
-// Decode reads a module serialized by Encode. Beyond parsing, the
-// decoded module is validated for internal consistency — every index
-// the code generator will follow blindly at translation time (symbol
-// references, action targets, check entries) must be in range — so a
-// corrupt or adversarial byte stream yields an error, never a panic in
-// the driver.
-func Decode(r io.Reader) (*Module, error) {
+// Decode reads a module serialized by Encode from data, which it does
+// not retain. Beyond parsing, the decoded module is validated for
+// internal consistency — every index the code generator will follow
+// blindly at translation time (symbol references, action targets,
+// check entries) must be in range — so a corrupt or adversarial byte
+// stream yields an error, never a panic in the driver.
+func Decode(data []byte) (*Module, error) {
 	if err := faultinject.Eval("tables/decode", ""); err != nil {
 		return nil, fmt.Errorf("tables: decode: %w", err)
 	}
-	d := &decoder{r: r}
-	var got [8]byte
-	d.bytes(got[:])
-	if d.err == nil && got != magic {
-		return nil, fmt.Errorf("tables: bad magic %q", got[:])
+	d := &decoder{b: data}
+	if got := d.take(len(magic)); d.err == nil && string(got) != string(magic[:]) {
+		return nil, fmt.Errorf("tables: bad magic %q", got)
+	}
+	// A first pass walks the layout and allocates nothing, so a stream
+	// that is truncated or whose counts overrun its bytes fails before
+	// anything is sized by them.
+	walk := *d
+	walk.skim()
+	if walk.err != nil {
+		return nil, fmt.Errorf("tables: decode: %w", walk.err)
 	}
 	g := decodeSymbols(d)
 	decodeProds(d, g)
@@ -121,39 +128,40 @@ func (m *Module) validate() error {
 	if g.Lambda < 0 || g.Lambda >= nsym {
 		return fmt.Errorf("lambda symbol %d out of range (%d symbols)", g.Lambda, nsym)
 	}
-	checkSym := func(what string, id int) error {
+	// The message is formatted only on failure: validation runs on
+	// every decode.
+	checkSym := func(prod, id int) error {
 		if id < 0 || id >= nsym {
-			return fmt.Errorf("%s references symbol %d (have %d)", what, id, nsym)
+			return fmt.Errorf("production %d references symbol %d (have %d)", prod, id, nsym)
 		}
 		return nil
 	}
 	for i, prod := range g.Prods {
-		what := fmt.Sprintf("production %d", i)
-		if err := checkSym(what, prod.LHS); err != nil {
+		if err := checkSym(i, prod.LHS); err != nil {
 			return err
 		}
 		for _, s := range prod.RHS {
-			if err := checkSym(what, s); err != nil {
+			if err := checkSym(i, s); err != nil {
 				return err
 			}
 		}
 		for _, u := range prod.Uses {
-			if err := checkSym(what, u.Sym); err != nil {
+			if err := checkSym(i, u.Sym); err != nil {
 				return err
 			}
 		}
 		for _, u := range prod.Needs {
-			if err := checkSym(what, u.Sym); err != nil {
+			if err := checkSym(i, u.Sym); err != nil {
 				return err
 			}
 		}
 		for _, t := range prod.Templates {
 			for _, o := range t.Operands {
-				if err := checkSym(what, o.Base.Sym); err != nil {
+				if err := checkSym(i, o.Base.Sym); err != nil {
 					return err
 				}
 				for _, s := range o.Sub {
-					if err := checkSym(what, s.Sym); err != nil {
+					if err := checkSym(i, s.Sym); err != nil {
 						return err
 					}
 				}
@@ -211,170 +219,243 @@ func (m *Module) validate() error {
 
 // --- encoding helpers -------------------------------------------------
 
-func putU16(buf *bytes.Buffer, v uint16) {
-	buf.WriteByte(byte(v))
-	buf.WriteByte(byte(v >> 8))
+func appendU32(b []byte, v int) []byte { return binary.LittleEndian.AppendUint32(b, uint32(v)) }
+
+func appendI64(b []byte, v int64) []byte { return binary.LittleEndian.AppendUint64(b, uint64(v)) }
+
+func appendStr(b []byte, s string) []byte { return append(appendU32(b, len(s)), s...) }
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return appendU32(b, 1)
+	}
+	return appendU32(b, 0)
 }
 
-func putU32(buf *bytes.Buffer, v int) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(v))
-	buf.Write(b[:])
-}
-
-func putI64(buf *bytes.Buffer, v int64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v))
-	buf.Write(b[:])
-}
-
-func putStr(buf *bytes.Buffer, s string) {
-	putU32(buf, len(s))
-	buf.WriteString(s)
-}
-
-func encodeSymbols(buf *bytes.Buffer, g *grammar.Grammar) {
-	putStr(buf, g.Name)
-	putU32(buf, g.Lambda)
-	putU32(buf, len(g.Syms))
+// symbolsSize, prodsSize and packedSize are the byte counts that
+// appendSymbols, appendProds and appendPacked write.
+func symbolsSize(g *grammar.Grammar) int {
+	n := 4 + len(g.Name) + 4 + 4
 	for _, s := range g.Syms {
-		putStr(buf, s.Name)
-		putU32(buf, int(s.Kind))
-		putI64(buf, s.Value)
+		n += 4 + len(s.Name) + 4 + 8
 	}
+	return n
 }
 
-func encodeArg(buf *bytes.Buffer, a grammar.Arg) {
-	flag := 0
-	if a.IsRef {
-		flag = 1
-	}
-	putU32(buf, flag)
-	putU32(buf, a.Sym)
-	putU32(buf, a.Tag)
-	putI64(buf, a.Num)
-}
-
-func encodeProds(buf *bytes.Buffer, g *grammar.Grammar) {
-	putU32(buf, len(g.Prods))
+func prodsSize(g *grammar.Grammar) int {
+	n := 4
 	for _, p := range g.Prods {
-		putU32(buf, p.Num)
-		putU32(buf, p.LHS)
-		putU32(buf, p.LHSTag+1) // bias so -1 encodes as 0
-		putU32(buf, len(p.RHS))
-		for i := range p.RHS {
-			putU32(buf, p.RHS[i])
-			putU32(buf, p.RHSTags[i]+1)
-		}
-		putU32(buf, len(p.Uses))
-		for _, u := range p.Uses {
-			putU32(buf, u.Sym)
-			putU32(buf, u.Tag)
-		}
-		putU32(buf, len(p.Needs))
-		for _, u := range p.Needs {
-			putU32(buf, u.Sym)
-			putU32(buf, u.Tag)
-		}
-		putU32(buf, len(p.Templates))
+		n += 4*4 + 8*len(p.RHS) + 4 + 8*len(p.Uses) + 4 + 8*len(p.Needs) + 4
 		for _, t := range p.Templates {
-			putU32(buf, t.Op)
-			sem := 0
-			if t.Semantic {
-				sem = 1
-			}
-			putU32(buf, sem)
-			putU32(buf, len(t.Operands))
+			n += 3 * 4
 			for _, o := range t.Operands {
-				encodeArg(buf, o.Base)
-				putU32(buf, len(o.Sub))
+				n += argSize + 4 + argSize*len(o.Sub)
+			}
+		}
+	}
+	return n
+}
+
+// argSize is the encoded width of one grammar.Arg.
+const argSize = 3*4 + 8
+
+func packedSize(p *Packed) int { return 6*4 + p.SizeBytes() }
+
+func appendSymbols(b []byte, g *grammar.Grammar) []byte {
+	b = appendStr(b, g.Name)
+	b = appendU32(b, g.Lambda)
+	b = appendU32(b, len(g.Syms))
+	for _, s := range g.Syms {
+		b = appendStr(b, s.Name)
+		b = appendU32(b, int(s.Kind))
+		b = appendI64(b, s.Value)
+	}
+	return b
+}
+
+func appendArg(b []byte, a grammar.Arg) []byte {
+	b = appendBool(b, a.IsRef)
+	b = appendU32(b, a.Sym)
+	b = appendU32(b, a.Tag)
+	return appendI64(b, a.Num)
+}
+
+func appendProds(b []byte, g *grammar.Grammar) []byte {
+	b = appendU32(b, len(g.Prods))
+	for _, p := range g.Prods {
+		b = appendU32(b, p.Num)
+		b = appendU32(b, p.LHS)
+		b = appendU32(b, p.LHSTag+1) // bias so -1 encodes as 0
+		b = appendU32(b, len(p.RHS))
+		for i := range p.RHS {
+			b = appendU32(b, p.RHS[i])
+			b = appendU32(b, p.RHSTags[i]+1)
+		}
+		b = appendU32(b, len(p.Uses))
+		for _, u := range p.Uses {
+			b = appendU32(b, u.Sym)
+			b = appendU32(b, u.Tag)
+		}
+		b = appendU32(b, len(p.Needs))
+		for _, u := range p.Needs {
+			b = appendU32(b, u.Sym)
+			b = appendU32(b, u.Tag)
+		}
+		b = appendU32(b, len(p.Templates))
+		for _, t := range p.Templates {
+			b = appendU32(b, t.Op)
+			b = appendBool(b, t.Semantic)
+			b = appendU32(b, len(t.Operands))
+			for _, o := range t.Operands {
+				b = appendArg(b, o.Base)
+				b = appendU32(b, len(o.Sub))
 				for _, s := range o.Sub {
-					encodeArg(buf, s)
+					b = appendArg(b, s)
 				}
 			}
 		}
 	}
+	return b
 }
 
-func encodePacked(buf *bytes.Buffer, p *Packed) error {
-	buf.Grow(4*6 + 2*len(p.ColOf) + 4*len(p.Base) + 2*len(p.Data) + 2*len(p.Check))
-	putU32(buf, p.NumStates)
-	putU32(buf, p.NumCols)
-	putU32(buf, len(p.ColOf))
+func appendPacked(b []byte, p *Packed) ([]byte, error) {
+	b = appendU32(b, p.NumStates)
+	b = appendU32(b, p.NumCols)
+	b = appendU32(b, len(p.ColOf))
 	for _, v := range p.ColOf {
-		putU16(buf, uint16(v)) // -1 wraps to 0xFFFF
+		b = binary.LittleEndian.AppendUint16(b, uint16(v)) // -1 wraps to 0xFFFF
 	}
-	putU32(buf, len(p.Base))
+	b = appendU32(b, len(p.Base))
 	for _, v := range p.Base {
-		putU32(buf, int(v))
+		b = appendU32(b, int(v))
 	}
-	putU32(buf, len(p.Data))
+	b = appendU32(b, len(p.Data))
 	for _, v := range p.Data {
 		a16, ok := v.Pack16()
 		if !ok {
-			return fmt.Errorf("tables: action target %d exceeds the 14-bit packed form", v.Target())
+			return b, fmt.Errorf("tables: action target %d exceeds the 14-bit packed form", v.Target())
 		}
-		putU16(buf, a16)
+		b = binary.LittleEndian.AppendUint16(b, a16)
 	}
-	putU32(buf, len(p.Check))
+	b = appendU32(b, len(p.Check))
 	for _, v := range p.Check {
 		if v < 0 || v > 0xFFFF {
-			return fmt.Errorf("tables: check entry %d exceeds sixteen bits", v)
+			return b, fmt.Errorf("tables: check entry %d exceeds sixteen bits", v)
 		}
-		putU16(buf, uint16(v))
+		b = binary.LittleEndian.AppendUint16(b, uint16(v))
 	}
-	return nil
+	return b, nil
 }
 
 // --- decoding helpers -------------------------------------------------
 
+// decoder reads fixed-width little-endian fields off a byte slice. The
+// first failure is kept in err, and every later read fails at once and
+// yields zero.
 type decoder struct {
-	r   io.Reader
+	b   []byte
+	off int // bytes read
 	err error
 }
 
-func (d *decoder) bytes(b []byte) {
-	if d.err != nil {
-		return
-	}
-	_, d.err = io.ReadFull(d.r, b)
-}
+// left reports how many bytes remain unread.
+func (d *decoder) left() int { return len(d.b) - d.off }
 
-func (d *decoder) u16() uint16 {
-	var b [2]byte
-	d.bytes(b[:])
-	return binary.LittleEndian.Uint16(b[:])
+// take consumes the next n bytes, or fails when fewer remain.
+func (d *decoder) take(n int) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if n > d.left() {
+		d.err = io.ErrUnexpectedEOF
+		return nil
+	}
+	d.off += n
+	return d.b[d.off-n : d.off : d.off]
 }
 
 func (d *decoder) u32() int {
-	var b [4]byte
-	d.bytes(b[:])
-	return int(int32(binary.LittleEndian.Uint32(b[:])))
+	if p := d.take(4); p != nil {
+		return int(int32(binary.LittleEndian.Uint32(p)))
+	}
+	return 0
 }
 
 func (d *decoder) i64() int64 {
-	var b [8]byte
-	d.bytes(b[:])
-	return int64(binary.LittleEndian.Uint64(b[:]))
-}
-
-func (d *decoder) str() string {
-	n := d.u32()
-	if d.err != nil || n < 0 || n > 1<<20 {
-		if d.err == nil {
-			d.err = fmt.Errorf("string length %d out of range", n)
-		}
-		return ""
+	if p := d.take(8); p != nil {
+		return int64(binary.LittleEndian.Uint64(p))
 	}
-	b := make([]byte, n)
-	d.bytes(b)
-	return string(b)
+	return 0
 }
 
-func (d *decoder) count(limit int) int {
+func (d *decoder) str() string { return string(d.take(d.strLen())) }
+
+// count reads an entry count, each entry at least width bytes long. A
+// count past limit, or one claiming more entries than the remaining
+// bytes can hold, fails before the caller sizes anything by it.
+func (d *decoder) count(limit, width int) int {
 	n := d.u32()
-	if d.err == nil && (n < 0 || n > limit) {
+	if n < 0 || n > limit || n*width > d.left() {
+		d.badCount(n, limit, width)
+		return 0
+	}
+	return n
+}
+
+// badCount records why count refused n, unless a read already failed.
+// It is apart from count to keep formatting out of the layout walk's
+// hot path.
+func (d *decoder) badCount(n, limit, width int) {
+	switch {
+	case d.err != nil:
+	case n < 0 || n > limit:
 		d.err = fmt.Errorf("count %d out of range (limit %d)", n, limit)
+	default:
+		d.err = fmt.Errorf("count %d of %d-byte entries exceeds the %d bytes left", n, width, d.left())
+	}
+}
+
+// entries reads a count of width-byte entries and returns their bytes.
+func (d *decoder) entries(width int) (int, []byte) {
+	n := d.count(1<<24, width)
+	return n, d.take(n * width)
+}
+
+// skim reads past a module's sections, after the magic, checking
+// every count and length the way the decoders below do but keeping
+// nothing. It steps over fixed-width fields unchecked: a step past the
+// end fails the next read, and the walk ends with one.
+func (d *decoder) skim() {
+	d.skip(d.strLen() + 4)
+	for n := d.count(1<<20, 4+4+8); n > 0 && d.err == nil; n-- {
+		d.skip(d.strLen() + 4 + 8)
+	}
+	for n := d.count(1<<20, 7*4); n > 0 && d.err == nil; n-- {
+		d.skip(3 * 4)
+		d.skip(8 * d.count(1<<10, 8)) // RHS
+		d.skip(8 * d.count(1<<10, 8)) // Uses
+		d.skip(8 * d.count(1<<10, 8)) // Needs
+		for t := d.count(1<<10, 3*4); t > 0 && d.err == nil; t-- {
+			d.skip(2 * 4)
+			for o := d.count(1<<10, argSize+4); o > 0 && d.err == nil; o-- {
+				d.skip(argSize)
+				d.skip(argSize * d.count(2, argSize))
+			}
+		}
+	}
+	d.skip(2 * 4)
+	for _, width := range [...]int{2, 4, 2, 2} { // ColOf, Base, Data, Check
+		d.entries(width)
+	}
+}
+
+func (d *decoder) skip(n int) { d.off += n }
+
+// strLen reads a string's length and checks it against its limit.
+func (d *decoder) strLen() int {
+	n := d.u32()
+	if d.err == nil && (n < 0 || n > 1<<20) {
+		d.err = fmt.Errorf("string length %d out of range", n)
 		return 0
 	}
 	return n
@@ -384,7 +465,8 @@ func decodeSymbols(d *decoder) *grammar.Grammar {
 	g := &grammar.Grammar{}
 	g.Name = d.str()
 	g.Lambda = d.u32()
-	n := d.count(1 << 20)
+	n := d.count(1<<20, 4+4+8)
+	g.Syms = make([]grammar.Symbol, 0, n)
 	for i := 0; i < n; i++ {
 		name := d.str()
 		kind := grammar.Kind(d.u32())
@@ -406,69 +488,91 @@ func decodeArg(d *decoder) grammar.Arg {
 	return a
 }
 
+func decodeRefs(d *decoder) []grammar.Ref {
+	n := d.count(1<<10, 8)
+	if n == 0 {
+		return nil
+	}
+	refs := make([]grammar.Ref, n)
+	for i := range refs {
+		refs[i] = grammar.Ref{Sym: d.u32(), Tag: d.u32()}
+	}
+	return refs
+}
+
 func decodeProds(d *decoder, g *grammar.Grammar) {
-	n := d.count(1 << 20)
-	for i := 0; i < n && d.err == nil; i++ {
-		p := &grammar.Prod{}
+	n := d.count(1<<20, 7*4)
+	if n == 0 {
+		return
+	}
+	prods := make([]grammar.Prod, n)
+	g.Prods = make([]*grammar.Prod, n)
+	for i := range prods {
+		p := &prods[i]
+		g.Prods[i] = p
 		p.Num = d.u32()
 		p.LHS = d.u32()
 		p.LHSTag = d.u32() - 1
-		rhsLen := d.count(1 << 10)
-		for j := 0; j < rhsLen; j++ {
-			p.RHS = append(p.RHS, d.u32())
-			p.RHSTags = append(p.RHSTags, d.u32()-1)
-		}
-		uses := d.count(1 << 10)
-		for j := 0; j < uses; j++ {
-			p.Uses = append(p.Uses, grammar.Ref{Sym: d.u32(), Tag: d.u32()})
-		}
-		needs := d.count(1 << 10)
-		for j := 0; j < needs; j++ {
-			p.Needs = append(p.Needs, grammar.Ref{Sym: d.u32(), Tag: d.u32()})
-		}
-		tmpls := d.count(1 << 10)
-		for j := 0; j < tmpls; j++ {
-			var t grammar.Template
-			t.Op = d.u32()
-			t.Semantic = d.u32() == 1
-			operands := d.count(1 << 10)
-			for k := 0; k < operands; k++ {
-				var o grammar.Operand
-				o.Base = decodeArg(d)
-				subs := d.count(2)
-				for m := 0; m < subs; m++ {
-					o.Sub = append(o.Sub, decodeArg(d))
-				}
-				t.Operands = append(t.Operands, o)
+		if rhsLen := d.count(1<<10, 8); rhsLen > 0 {
+			p.RHS = make([]int, rhsLen)
+			p.RHSTags = make([]int, rhsLen)
+			for j := range p.RHS {
+				p.RHS[j] = d.u32()
+				p.RHSTags[j] = d.u32() - 1
 			}
-			p.Templates = append(p.Templates, t)
 		}
-		g.Prods = append(g.Prods, p)
+		p.Uses = decodeRefs(d)
+		p.Needs = decodeRefs(d)
+		if tmpls := d.count(1<<10, 3*4); tmpls > 0 {
+			p.Templates = make([]grammar.Template, tmpls)
+			for j := range p.Templates {
+				t := &p.Templates[j]
+				t.Op = d.u32()
+				t.Semantic = d.u32() == 1
+				if operands := d.count(1<<10, argSize+4); operands > 0 {
+					t.Operands = make([]grammar.Operand, operands)
+					for k := range t.Operands {
+						o := &t.Operands[k]
+						o.Base = decodeArg(d)
+						if subs := d.count(2, argSize); subs > 0 {
+							o.Sub = make([]grammar.Arg, subs)
+							for m := range o.Sub {
+								o.Sub[m] = decodeArg(d)
+							}
+						}
+					}
+				}
+			}
+		}
+		if d.err != nil {
+			return
+		}
 	}
 }
 
 func decodePacked(d *decoder) *Packed {
-	// Every loop bails on the first read error: a truncated stream
-	// claiming 2^24 entries must not spin through millions of zero
-	// reads before the error surfaces.
 	p := &Packed{}
 	p.NumStates = d.u32()
 	p.NumCols = d.u32()
-	n := d.count(1 << 24)
-	for i := 0; i < n && d.err == nil; i++ {
-		p.ColOf = append(p.ColOf, int32(int16(d.u16())))
+	n, b := d.entries(2)
+	p.ColOf = make([]int32, n)
+	for i := range p.ColOf {
+		p.ColOf[i] = int32(int16(binary.LittleEndian.Uint16(b[2*i:])))
 	}
-	n = d.count(1 << 24)
-	for i := 0; i < n && d.err == nil; i++ {
-		p.Base = append(p.Base, int32(d.u32()))
+	n, b = d.entries(4)
+	p.Base = make([]int32, n)
+	for i := range p.Base {
+		p.Base[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
 	}
-	n = d.count(1 << 24)
-	for i := 0; i < n && d.err == nil; i++ {
-		p.Data = append(p.Data, lr.Unpack16(d.u16()))
+	n, b = d.entries(2)
+	p.Data = make([]lr.Action, n)
+	for i := range p.Data {
+		p.Data[i] = lr.Unpack16(binary.LittleEndian.Uint16(b[2*i:]))
 	}
-	n = d.count(1 << 24)
-	for i := 0; i < n && d.err == nil; i++ {
-		p.Check = append(p.Check, int32(d.u16()))
+	n, b = d.entries(2)
+	p.Check = make([]int32, n)
+	for i := range p.Check {
+		p.Check[i] = int32(binary.LittleEndian.Uint16(b[2*i:]))
 	}
 	return p
 }

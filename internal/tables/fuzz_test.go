@@ -32,7 +32,7 @@ func FuzzTableDecode(f *testing.F) {
 				t.Fatalf("Decode panicked on %d-byte input: %v", len(data), r)
 			}
 		}()
-		mod, err := tables.Decode(bytes.NewReader(data))
+		mod, err := tables.Decode(data)
 		if err != nil {
 			return
 		}

@@ -124,7 +124,7 @@ func TestRoundTripProperty(t *testing.T) {
 			t.Logf("encode: %v", err)
 			return false
 		}
-		decoded, err := tables.Decode(bytes.NewReader(first.Bytes()))
+		decoded, err := tables.Decode(first.Bytes())
 		if err != nil {
 			t.Logf("decode: %v", err)
 			return false
@@ -163,7 +163,7 @@ func TestRoundTripAmdahl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := tables.Decode(bytes.NewReader(first.Bytes()))
+	decoded, err := tables.Decode(first.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

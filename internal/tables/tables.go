@@ -95,6 +95,15 @@ func sigRows(dense []lr.Action, nrows, ncols int) []sigRow {
 // the placement sequence is deterministic. Each row takes the first-fit
 // base: the lowest one at which its first column's slot is >= 0 and all
 // of its slots are free. An empty row gets base 0.
+//
+// Occupancy only grows, so every first-column slot a row's search
+// rejected stays rejected for any later row with the same columns, and
+// the slot it took is now taken. Such a row's first fit therefore lies
+// past the earlier row's slot, and its search starts there: the same
+// placement, without testing again what is known to collide. Rows with
+// equal columns have equal length, so the earlier row sits in the same
+// band of the densest-first order, and a backward scan of that band
+// finds it without any per-row memory.
 func packRows(rows []sigRow) (base []int32, data []lr.Action, check []int32) {
 	slices.SortFunc(rows, func(a, b sigRow) int {
 		if c := cmp.Compare(len(b.cols), len(a.cols)); c != 0 {
@@ -110,10 +119,22 @@ func packRows(rows []sigRow) (base []int32, data []lr.Action, check []int32) {
 	// Room for a comb twice the entry count keeps the bitmap from
 	// growing on real tables.
 	cb := comb{used: make([]uint64, 0, nsig/32+4)}
-	for _, r := range rows {
-		if len(r.cols) > 0 {
-			base[r.id] = int32(cb.place(r.cols))
+	band := 0 // index of the first row as long as the current one
+	for i, r := range rows {
+		if len(r.cols) == 0 {
+			break // empty rows sort last and keep base 0
 		}
+		if len(r.cols) != len(rows[band].cols) {
+			band = i
+		}
+		from := 0
+		for j := i - 1; j >= band; j-- {
+			if q := rows[j]; slices.Equal(q.cols, r.cols) {
+				from = int(base[q.id]+q.cols[0]) + 1
+				break
+			}
+		}
+		base[r.id] = int32(cb.place(r.cols, from))
 	}
 	data = make([]lr.Action, cb.n)
 	check = make([]int32, cb.n)
@@ -137,16 +158,18 @@ type comb struct {
 }
 
 // place returns the first-fit base for a row with significant columns
-// cols (ascending, non-empty) and marks its slots occupied.
+// cols (ascending, non-empty) whose first column takes a slot >= from,
+// and marks its slots occupied.
 //
 // The search tests 64 candidate start slots per step. For the block of
 // start slots 64w..64w+63, bit j of hit is set when start slot 64w+j
 // collides: it is the OR, over the row's offsets from its first column,
 // of the 64-slot occupancy window at that offset. The lowest zero bit
 // of hit is the first fit in the block. Blocks below lo are full and
-// cannot hold the first column, so the search starts there; the block
-// past the last occupied word always fits.
-func (cb *comb) place(cols []int32) int {
+// cannot hold the first column, so the search starts there or at
+// from's block, whichever is later, with the slots below from marked as
+// hits; the block past the last occupied word always fits.
+func (cb *comb) place(cols []int32, from int) int {
 	first := int(cols[0])
 	span := int(cols[len(cols)-1]) - first
 	// The search stops by block (n+63)/64, which is empty, and a window
@@ -155,8 +178,11 @@ func (cb *comb) place(cols []int32) int {
 		cb.used = append(cb.used, make([]uint64, need-len(cb.used))...)
 	}
 	used := cb.used
-	for w := cb.lo; ; w++ {
+	for w := max(cb.lo, from>>6); ; w++ {
 		var hit uint64
+		if w == from>>6 {
+			hit = 1<<(uint(from)&63) - 1
+		}
 		for _, c := range cols {
 			rel := int(c) - first
 			i, b := w+rel>>6, uint(rel)&63

@@ -2,8 +2,12 @@ package tables_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math/rand"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -114,8 +118,24 @@ func TestEncodeSizesMatchStream(t *testing.T) {
 	}
 }
 
+// TestEncodeModuleAllocatesOnce: the stream is appended into one buffer
+// sized up front, so a section whose size is mispredicted shows as a
+// second allocation.
+func TestEncodeModuleAllocatesOnce(t *testing.T) {
+	cg := buildFrom(t, "amdahl470.cogg", specs.Amdahl470)
+	m := &tables.Module{Grammar: cg.Grammar, Packed: cg.Packed}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := tables.EncodeModule(io.Discard, m); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("EncodeModule allocates %.0f times per run, want 1", allocs)
+	}
+}
+
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := tables.Decode(bytes.NewReader([]byte("not a table module"))); err == nil {
+	if _, err := tables.Decode([]byte("not a table module")); err == nil {
 		t.Error("Decode accepted garbage")
 	}
 	// Truncation after the magic.
@@ -125,7 +145,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{9, 20, buf.Len() / 2, buf.Len() - 1} {
-		if _, err := tables.Decode(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
+		if _, err := tables.Decode(buf.Bytes()[:cut]); err == nil {
 			t.Errorf("Decode accepted a module truncated to %d bytes", cut)
 		}
 	}
@@ -137,7 +157,7 @@ func TestDecodedModuleDrivesSameActions(t *testing.T) {
 	if _, err := cg.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	mod, err := tables.Decode(&buf)
+	mod, err := tables.Decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +213,7 @@ func TestDecodeRejectsOutOfUniverseLookahead(t *testing.T) {
 	if _, err := cg.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	pristine, err := tables.Decode(bytes.NewReader(buf.Bytes()))
+	pristine, err := tables.Decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +233,7 @@ func TestDecodeRejectsOutOfUniverseLookahead(t *testing.T) {
 	}
 	owner := pristine.Packed.Check[target] - 1
 	for _, bad := range []int32{int32(target) + 1, int32(target - pristine.Packed.NumCols)} {
-		corrupt, err := tables.Decode(bytes.NewReader(buf.Bytes()))
+		corrupt, err := tables.Decode(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,11 +242,86 @@ func TestDecodeRejectsOutOfUniverseLookahead(t *testing.T) {
 		if _, err := tables.EncodeModule(&reenc, corrupt); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tables.Decode(bytes.NewReader(reenc.Bytes())); err == nil {
+		if _, err := tables.Decode(reenc.Bytes()); err == nil {
 			t.Errorf("Decode accepted a module whose state %d base %d puts entry %d outside the symbol universe",
 				owner, bad, target)
 		} else if !strings.Contains(err.Error(), "lookahead column") {
 			t.Errorf("base %d: error %q does not name the lookahead column", bad, err)
+		}
+	}
+}
+
+// TestDecodeRejectsEveryPrefix: no truncation of the full amdahl470
+// module decodes. Each prefix costs a walk up to its cut, so the ~200k
+// of them are striped over GOMAXPROCS goroutines.
+func TestDecodeRejectsEveryPrefix(t *testing.T) {
+	cg := buildFrom(t, "amdahl470.cogg", specs.Amdahl470)
+	var buf bytes.Buffer
+	if _, err := cg.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	workers := runtime.GOMAXPROCS(0)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(first int) {
+			defer wg.Done()
+			for cut := first; cut < len(data); cut += workers {
+				if _, err := tables.Decode(data[:cut]); err == nil {
+					t.Errorf("Decode accepted the module truncated to %d of %d bytes", cut, len(data))
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestDecodeCountOverrunAllocatesNothing: a count within its limit that
+// claims more entries than the bytes left fails before Decode sizes
+// anything by it — here 2^20 symbols or productions, or 2^24 entries
+// in one packed array, with ten bytes left.
+func TestDecodeCountOverrunAllocatesNothing(t *testing.T) {
+	cg := buildFrom(t, "amdahl-minimal.cogg", specs.AmdahlMinimal)
+	var buf bytes.Buffer
+	sz, err := cg.Encode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := cg.Packed
+	packed := 8 + sz.Symbols + sz.Templates
+	colOf := packed + 8
+	base := colOf + 4 + 2*len(p.ColOf)
+	data := base + 4 + 4*len(p.Base)
+	check := data + 4 + 2*len(p.Data)
+	for _, c := range []struct {
+		name   string
+		offset int
+		count  uint32
+	}{
+		{"symbols", 8 + 4 + len(cg.Grammar.Name) + 4, 1 << 20},
+		{"productions", 8 + sz.Symbols, 1 << 20},
+		{"ColOf", colOf, 1 << 24},
+		{"Base", base, 1 << 24},
+		{"Data", data, 1 << 24},
+		{"Check", check, 1 << 24},
+	} {
+		stream := append([]byte(nil), buf.Bytes()[:c.offset+4+10]...)
+		binary.LittleEndian.PutUint32(stream[c.offset:], c.count)
+		var err error
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 10
+		for i := 0; i < runs; i++ {
+			_, err = tables.Decode(stream)
+		}
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "bytes left") {
+			t.Errorf("%s count %d with ten bytes left: error %v, want a count overrun", c.name, c.count, err)
+		}
+		if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 1024 {
+			t.Errorf("%s count %d with ten bytes left: Decode allocated %d bytes before failing", c.name, c.count, perRun)
 		}
 	}
 }
