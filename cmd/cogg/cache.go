@@ -11,9 +11,11 @@ import (
 
 // runCache is the `cogg cache` subcommand: operator tooling over the
 // shared on-disk artifact tier. The blob store itself is digest-keyed
-// and anonymous; the index sidecar supplies the names, so `ls` is a
-// join of the two, `gc` deletes what no manifest row references, and
-// `verify` re-hashes every entry offline.
+// and anonymous; the index sidecar names the table modules, so `ls` is
+// a join of the two, `gc` deletes what no manifest row references, and
+// `verify` re-hashes every entry offline. Blobs without a row are the
+// daemon's deck cache: `ls` lists them as unreferenced and `gc` deletes
+// them once they are older than -min-age (a deleted deck recompiles).
 func runCache(args []string) {
 	fs := flag.NewFlagSet("cogg cache", flag.ExitOnError)
 	fs.Usage = func() {
@@ -23,12 +25,15 @@ func runCache(args []string) {
   gc      delete unreferenced blobs older than -min-age
   verify  re-hash every blob and cross-check the manifest
 
+The manifest (index.json) names table modules only. Unreferenced blobs
+are deck cache the daemon rebuilds on a miss: gc candidates by age.
+
 flags:
 `)
 		fs.PrintDefaults()
 	}
 	dir := fs.String("dir", "", "blob store directory (the daemon's -cache)")
-	minAge := fs.Duration("min-age", time.Hour, "gc: age floor for unreferenced blobs")
+	minAge := fs.Duration("min-age", time.Hour, "gc: age floor for unreferenced blobs, counted from the write")
 	if len(args) == 0 {
 		fs.Usage()
 		os.Exit(2)
@@ -53,9 +58,10 @@ flags:
 	}
 }
 
-// cacheLs joins the manifest with the blobs on disk. Indexed rows print
-// with their names; blobs no row references print as anonymous — gc
-// candidates. Quarantined entries are always surfaced.
+// cacheLs joins the manifest with the blobs on disk. Indexed rows (the
+// table modules) print with their names; blobs no row references (deck
+// cache) print as anonymous gc candidates. Quarantined entries are
+// always surfaced.
 func cacheLs(store *blob.FS) {
 	ix, err := blob.ReadIndex(store.Dir())
 	if err != nil && !os.IsNotExist(err) {

@@ -16,12 +16,15 @@ import (
 const IndexFile = "index.json"
 
 // IndexEntry maps one human-meaningful artifact name to its blob: the
-// manifest row that makes a digest-keyed store enumerable. Modules key
-// by spec name + format version; decks by their request derivation.
+// manifest row that makes a digest-keyed store enumerable. Only table
+// modules have rows, one per spec name + format version, written when
+// the module is built. Everything else in the store (compiled decks) is
+// derived cache with no name: it lists as unreferenced and gc ages it
+// out.
 type IndexEntry struct {
 	Name    string    `json:"name"`    // e.g. "amdahl470.cogg"
-	Version string    `json:"version"` // module format version (or deck scheme tag)
-	Kind    string    `json:"kind"`    // "module" or "deck"
+	Version string    `json:"version"` // module format version, e.g. "CoGGtbl1"
+	Kind    string    `json:"kind"`    // always "module" (rows of any other kind are dropped on read)
 	Key     string    `json:"key"`     // the blob's digest key
 	Content string    `json:"content"` // payload content digest
 	Size    int64     `json:"size"`    // payload bytes
@@ -38,12 +41,6 @@ func (e IndexEntry) id() string { return e.Name + "@" + e.Version + "#" + e.Kind
 // keys from sources it does not have.
 type Index struct {
 	Entries map[string]IndexEntry `json:"entries"`
-}
-
-// Lookup finds the entry for an artifact name+version+kind.
-func (ix *Index) Lookup(name, version, kind string) (IndexEntry, bool) {
-	e, ok := ix.Entries[IndexEntry{Name: name, Version: version, Kind: kind}.id()]
-	return e, ok
 }
 
 // Referenced reports every blob key the index still points at.
@@ -75,7 +72,11 @@ func (ix *Index) Sorted() []IndexEntry {
 }
 
 // ReadIndex loads the sidecar under dir; a missing file is an empty
-// index, a corrupt one an error (the blobs are intact either way).
+// index, a corrupt one an error (the blobs are intact either way). A
+// row whose key is not a blob key makes the sidecar corrupt. Rows of any
+// kind but "module" (the deck rows older daemons wrote) are dropped, so
+// their blobs become gc candidates and the next upsert rewrites the
+// file without them.
 func ReadIndex(dir string) (*Index, error) {
 	ix := &Index{Entries: map[string]IndexEntry{}}
 	data, err := os.ReadFile(filepath.Join(dir, IndexFile))
@@ -90,6 +91,14 @@ func ReadIndex(dir string) (*Index, error) {
 	}
 	if ix.Entries == nil {
 		ix.Entries = map[string]IndexEntry{}
+	}
+	for id, e := range ix.Entries {
+		if !ValidKey(e.Key) {
+			return nil, fmt.Errorf("blob: %s: row %q: malformed key %q", IndexFile, id, e.Key)
+		}
+		if e.Kind != "module" {
+			delete(ix.Entries, id)
+		}
 	}
 	return ix, nil
 }
@@ -121,28 +130,6 @@ func UpdateIndex(dir string, e IndexEntry) error {
 		ix = &Index{Entries: map[string]IndexEntry{}}
 	}
 	ix.Entries[e.id()] = e
-	return writeIndex(dir, ix)
-}
-
-// DropIndexKey removes every manifest row pointing at key — the GC
-// bookkeeping for a deleted blob.
-func DropIndexKey(dir, key string) error {
-	indexMu.Lock()
-	defer indexMu.Unlock()
-	ix, err := ReadIndex(dir)
-	if err != nil {
-		return err
-	}
-	changed := false
-	for id, e := range ix.Entries {
-		if e.Key == key {
-			delete(ix.Entries, id)
-			changed = true
-		}
-	}
-	if !changed {
-		return nil
-	}
 	return writeIndex(dir, ix)
 }
 

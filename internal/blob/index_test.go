@@ -3,6 +3,7 @@ package blob
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -31,16 +32,15 @@ func TestIndexUpsertLookup(t *testing.T) {
 	if len(ix.Entries) != 2 {
 		t.Fatalf("index holds %d rows, want 2", len(ix.Entries))
 	}
-	got, ok := ix.Lookup("amdahl470.cogg", "CoGGtbl1", "module")
-	if !ok || got.Size != 4 || got.Key != e.Key {
-		t.Fatalf("Lookup = %+v, %v", got, ok)
-	}
-	if got.Updated.IsZero() {
-		t.Error("upsert did not stamp Updated")
-	}
 	sorted := ix.Sorted()
 	if sorted[0].Name != "amdahl470.cogg" || sorted[1].Name != "risc32.cogg" {
-		t.Errorf("Sorted order: %s, %s", sorted[0].Name, sorted[1].Name)
+		t.Fatalf("Sorted order: %s, %s", sorted[0].Name, sorted[1].Name)
+	}
+	if got := sorted[0]; got.Size != 4 || got.Key != e.Key {
+		t.Fatalf("upserted row = %+v", got)
+	}
+	if sorted[0].Updated.IsZero() {
+		t.Error("upsert did not stamp Updated")
 	}
 	if !ix.Referenced()[e.Key] {
 		t.Error("Referenced misses an indexed key")
@@ -48,64 +48,57 @@ func TestIndexUpsertLookup(t *testing.T) {
 }
 
 func TestIndexCorruptSidecarRebuilds(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, IndexFile), []byte("{torn json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadIndex(dir); err == nil {
-		t.Fatal("corrupt sidecar read as valid")
-	}
-	// An upsert over a corrupt sidecar rebuilds rather than wedging.
-	if err := UpdateIndex(dir, IndexEntry{Name: "n", Version: "v", Kind: "module",
-		Key: DigestParts("rebuild")}); err != nil {
-		t.Fatal(err)
-	}
-	ix, err := ReadIndex(dir)
-	if err != nil || len(ix.Entries) != 1 {
-		t.Fatalf("rebuilt index = %+v, %v", ix, err)
-	}
-}
-
-func TestDropIndexKey(t *testing.T) {
-	dir := t.TempDir()
-	key := DigestParts("dropped")
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(UpdateIndex(dir, IndexEntry{Name: "a", Version: "v", Kind: "module", Key: key}))
-	must(UpdateIndex(dir, IndexEntry{Name: "b", Version: "v", Kind: "module", Key: key}))
-	must(UpdateIndex(dir, IndexEntry{Name: "c", Version: "v", Kind: "module", Key: DigestParts("kept")}))
-	must(DropIndexKey(dir, key))
-	ix, err := ReadIndex(dir)
-	must(err)
-	if len(ix.Entries) != 1 {
-		t.Fatalf("after drop: %d rows, want 1", len(ix.Entries))
-	}
-	if _, ok := ix.Lookup("c", "v", "module"); !ok {
-		t.Error("drop removed an unrelated row")
+	for name, sidecar := range map[string]string{
+		"torn json": "{torn json",
+		// A row whose key is no blob key would reach ls's key[:12] and
+		// Verify's Stat; the whole sidecar is corrupt instead.
+		"short key": `{"entries":{"n@v#module":{"name":"n","version":"v","kind":"module","key":"abc"}}}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, IndexFile), []byte(sidecar), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadIndex(dir); err == nil {
+				t.Fatal("corrupt sidecar read as valid")
+			}
+			// An upsert over a corrupt sidecar rebuilds rather than wedging.
+			if err := UpdateIndex(dir, IndexEntry{Name: "n", Version: "v", Kind: "module",
+				Key: DigestParts("rebuild")}); err != nil {
+				t.Fatal(err)
+			}
+			ix, err := ReadIndex(dir)
+			if err != nil || len(ix.Entries) != 1 {
+				t.Fatalf("rebuilt index = %+v, %v", ix, err)
+			}
+		})
 	}
 }
 
-// TestGC: referenced blobs stay, unreferenced old blobs go, young
-// blobs get grace, quarantined entries are reported and kept.
+// TestGC: referenced blobs stay, unreferenced old blobs go (a legacy
+// deck row references nothing), young blobs get grace, quarantined
+// entries are reported and kept.
 func TestGC(t *testing.T) {
 	dir := t.TempDir()
 	fs := NewFS(dir)
 	refKey, oldKey, youngKey := DigestParts("ref"), DigestParts("old"), DigestParts("young")
-	for _, k := range []string{refKey, oldKey, youngKey} {
+	deckKey := DigestParts("deck")
+	for _, k := range []string{refKey, oldKey, youngKey, deckKey} {
 		if err := fs.Put(ctx, k, []byte("payload for "+short(k))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := UpdateIndex(dir, IndexEntry{Name: "kept.cogg", Version: "v", Kind: "module", Key: refKey}); err != nil {
+	// The module's row next to a deck row as older daemons wrote it,
+	// straight into the sidecar.
+	sidecar := `{"entries":{` +
+		`"kept.cogg@v#module":{"name":"kept.cogg","version":"v","kind":"module","key":"` + refKey + `"},` +
+		`"amdahl470/a.pas@deck/v2#deck":{"name":"amdahl470/a.pas","version":"deck/v2","kind":"deck","key":"` + deckKey + `"}}}`
+	if err := os.WriteFile(filepath.Join(dir, IndexFile), []byte(sidecar), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Age the referenced and unreferenced-old entries past the floor.
+	// Age the referenced, unreferenced-old and deck entries past the floor.
 	past := time.Now().Add(-2 * time.Hour)
-	for _, k := range []string{refKey, oldKey} {
+	for _, k := range []string{refKey, oldKey, deckKey} {
 		if err := os.Chtimes(filepath.Join(dir, k+blobExt), past, past); err != nil {
 			t.Fatal(err)
 		}
@@ -119,8 +112,9 @@ func TestGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Deleted) != 1 || res.Deleted[0] != oldKey {
-		t.Errorf("Deleted = %v, want [%s]", res.Deleted, short(oldKey))
+	if deleted := strings.Join(res.Deleted, " "); len(res.Deleted) != 2 ||
+		!strings.Contains(deleted, oldKey) || !strings.Contains(deleted, deckKey) {
+		t.Errorf("Deleted = %v, want %s and the legacy deck %s", res.Deleted, short(oldKey), short(deckKey))
 	}
 	if res.KeptRef != 1 {
 		t.Errorf("KeptRef = %d, want 1", res.KeptRef)
@@ -137,11 +131,25 @@ func TestGC(t *testing.T) {
 	if _, err := fs.Get(ctx, refKey); err != nil {
 		t.Errorf("referenced blob deleted: %v", err)
 	}
-	if _, err := fs.Get(ctx, oldKey); err == nil {
-		t.Error("unreferenced old blob survived GC")
+	for _, k := range []string{oldKey, deckKey} {
+		if _, err := fs.Get(ctx, k); err == nil {
+			t.Errorf("unreferenced old blob %s survived GC", short(k))
+		}
 	}
 	if len(fs.QuarantineFiles()) != 1 {
 		t.Error("GC deleted a quarantine file")
+	}
+
+	// The next module upsert rewrites the sidecar without the deck row.
+	if err := UpdateIndex(dir, IndexEntry{Name: "kept.cogg", Version: "v", Kind: "module", Key: refKey}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, IndexFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), deckKey) || !strings.Contains(string(raw), refKey) {
+		t.Errorf("sidecar after upsert:\n%s\nwant the module row only", raw)
 	}
 }
 

@@ -189,7 +189,10 @@ func (s *Server) runUnit(p *pending) {
 	}
 	body := encodeJSON(resp)
 	if p.deckCacheable() {
-		s.deckCachePut(p, body)
+		// Best-effort, and before the answer goes out so a repeat sent
+		// on its arrival hits. A deck is cache, not a named artifact: no
+		// manifest row, so `cogg cache gc` ages it out.
+		_ = s.blobStore.Put(p.ctx, deckKey(p), body)
 	}
 	p.finish(http.StatusOK, body, "")
 }
@@ -305,24 +308,4 @@ func (s *Server) deckCacheGet(p *pending) ([]byte, bool) {
 		return nil, false
 	}
 	return data, true
-}
-
-// deckCachePut publishes one successful deck's body into the blob tier
-// (best-effort) and, when a disk tier exists, upserts the index sidecar
-// so `cogg cache ls` can name the digest.
-func (s *Server) deckCachePut(p *pending, body []byte) {
-	key := deckKey(p)
-	if err := s.blobStore.Put(p.ctx, key, body); err != nil {
-		return
-	}
-	if s.opts.CacheDir != "" {
-		_ = blob.UpdateIndex(s.opts.CacheDir, blob.IndexEntry{
-			Name:    p.mt.specName + "/" + p.name,
-			Version: "deck/v2",
-			Kind:    "deck",
-			Key:     key,
-			Content: blob.Sum(body),
-			Size:    int64(len(body)),
-		})
-	}
 }

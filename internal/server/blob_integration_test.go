@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -9,11 +11,14 @@ import (
 	"net/http/httputil"
 	"net/url"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"cogg/internal/blob"
 )
 
 // logBuffer captures Options.Logf lines for assertion.
@@ -159,6 +164,86 @@ func TestDeckCacheLocalRoundtrip(t *testing.T) {
 	status, explained := compile(t, ts, CompileRequest{Name: "unit.pas", Source: src, Deck: true, Explain: true})
 	if status != http.StatusOK || explained.Derivation == nil {
 		t.Fatalf("explain riding a cached deck lost its derivation (status %d)", status)
+	}
+}
+
+// TestDeckMissesLeaveManifestAlone: a deck is cache, not a named
+// artifact. A thousand distinct deck misses on a disk tier each put
+// their blob, and none reads or rewrites index.json: the sidecar the
+// boot-time module build wrote stays the same file, byte for byte, with
+// its one module row.
+func TestDeckMissesLeaveManifestAlone(t *testing.T) {
+	const units, perBatch = 1000, 200
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Options{CacheDir: dir})
+
+	indexPath := filepath.Join(dir, blob.IndexFile)
+	before, err := os.ReadFile(indexPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	beforeInfo, err := os.Stat(indexPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	want := map[string]bool{}
+	for b := 0; b < units/perBatch; b++ {
+		reqs := make([]CompileRequest, perBatch)
+		for i := range reqs {
+			name := fmt.Sprintf("u%04d.pas", b*perBatch+i)
+			want[name] = true
+			reqs[i] = CompileRequest{Name: name, Deck: true,
+				Source: "program p; var i: integer; begin i := 1 end."}
+		}
+		batchResults(t, ts, reqs)
+	}
+
+	after, err := os.ReadFile(indexPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	afterInfo, err := os.Stat(indexPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every upsert renames a fresh temp file over the sidecar, so one
+	// rewrite, even of identical bytes, replaces the file.
+	if !os.SameFile(beforeInfo, afterInfo) || !bytes.Equal(before, after) {
+		t.Fatalf("deck misses rewrote %s:\n%s\n->\n%s", blob.IndexFile, before, after)
+	}
+	ix, err := blob.ReadIndex(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := ix.Sorted()
+	if len(rows) != 1 || rows[0].Kind != "module" {
+		t.Fatalf("manifest rows = %+v, want one module row", rows)
+	}
+
+	// Every deck is on disk as an unreferenced blob naming its unit.
+	ctx := context.Background()
+	fs := blob.NewFS(dir)
+	infos, err := fs.List(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range infos {
+		if in.Key == rows[0].Key {
+			continue
+		}
+		data, err := fs.Get(ctx, in.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var head struct{ Name string }
+		if err := json.Unmarshal(data, &head); err != nil {
+			t.Fatalf("blob %s is not a deck body: %v", in.Key[:12], err)
+		}
+		delete(want, head.Name)
+	}
+	if len(want) != 0 {
+		t.Errorf("%d of %d decks have no blob on disk", len(want), units)
 	}
 }
 

@@ -174,8 +174,16 @@ func (cb *comb) place(cols []int32, from int) int {
 	span := int(cols[len(cols)-1]) - first
 	// The search stops by block (n+63)/64, which is empty, and a window
 	// reads two words from its offset, so need words cover every read.
+	// Growth doubles by hand: the append(used, make(...)...) idiom
+	// allocates its temporary under the race detector. Words past len
+	// were never written, so a reslice exposes zeros.
 	if need := (cb.n+63)>>6 + span>>6 + 2; len(cb.used) < need {
-		cb.used = append(cb.used, make([]uint64, need-len(cb.used))...)
+		if need > cap(cb.used) {
+			grown := make([]uint64, len(cb.used), max(need, 2*cap(cb.used)))
+			copy(grown, cb.used)
+			cb.used = grown
+		}
+		cb.used = cb.used[:need]
 	}
 	used := cb.used
 	for w := max(cb.lo, from>>6); ; w++ {
