@@ -4,8 +4,8 @@
 // existing grep-based tooling keeps working; json mode switches every
 // line to log/slog structured output — one JSON object per line — and
 // hands the embedding server a *slog.Logger so request-scoped reports
-// (slow-request trees) carry trace IDs as first-class attributes
-// instead of being buried in formatted prose.
+// (slow-request trees) carry the trace ID and the span tree as
+// attributes instead of being buried in formatted prose.
 package applog
 
 import (

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -349,6 +350,33 @@ func TestSlowRequestLog(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "slow request") || !strings.Contains(out, "parse-reduce") {
 		t.Errorf("slow log missing span tree, got %q", out)
+	}
+}
+
+// TestSlowRequestLogJSON asserts the structured slow-request record
+// carries the span tree too, not just a span count.
+func TestSlowRequestLogJSON(t *testing.T) {
+	var buf syncBuffer
+	logger := slog.New(slog.NewJSONHandler(&buf, nil))
+	_, ts := newTestServer(t, Options{SlowThreshold: time.Nanosecond, Logger: logger})
+
+	if status, _ := compile(t, ts, CompileRequest{Name: "slow", Lang: "if", Source: goodIF}); status != http.StatusOK {
+		t.Fatalf("compile: status %d", status)
+	}
+	var rec struct {
+		Msg     string `json:"msg"`
+		TraceID string `json:"trace_id"`
+		Tree    string `json:"tree"`
+	}
+	line, _, _ := strings.Cut(buf.String(), "\n")
+	if err := json.Unmarshal([]byte(line), &rec); err != nil {
+		t.Fatalf("slow log record %q: %v", line, err)
+	}
+	if rec.Msg != "slow request" || rec.TraceID == "" {
+		t.Errorf("slow log record lacks msg or trace_id: %q", line)
+	}
+	if !strings.Contains(rec.Tree, "parse-reduce") {
+		t.Errorf("slow log record carries no span tree: %q", line)
 	}
 }
 

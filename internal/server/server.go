@@ -151,7 +151,7 @@ type Options struct {
 	// SlowLog is where slow-request span trees go; nil means stderr.
 	SlowLog io.Writer
 	// Logger, when set, routes slow-request reports through structured
-	// logging (with trace_id attributes) instead of SlowLog.
+	// logging (with trace_id and tree attributes) instead of SlowLog.
 	Logger *slog.Logger
 
 	// Process names this process in exported trace fragments
@@ -744,7 +744,7 @@ func (s *Server) finishTrace(tr *obs.Trace, reqSpan int, failMode string, elapse
 		if s.opts.Logger != nil {
 			s.opts.Logger.Warn("slow request",
 				"trace_id", td.ID, "name", td.Name, "elapsed", elapsed.String(),
-				"failure", td.Failure, "spans", len(td.Spans))
+				"failure", td.Failure, "spans", len(td.Spans), "tree", td.Tree())
 		} else {
 			fmt.Fprintf(s.opts.SlowLog, "cogd: slow request (%v):\n%s", elapsed, td.Tree())
 		}
